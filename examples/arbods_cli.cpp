@@ -20,9 +20,15 @@
 //             --auto-replan (adopt traffic-refined shard plans at phase
 //                            boundaries; results unchanged)
 // families:   tree | forest2 | forest5 | grid | planar | ba2 | ba4 | er
+#include <charconv>
+#include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <iostream>
+#include <limits>
+#include <stdexcept>
 #include <string>
+#include <system_error>
 
 #include "arboricity/pseudoarboricity.hpp"
 #include "baselines/greedy.hpp"
@@ -62,6 +68,37 @@ void print_solver_table(std::ostream& os) {
   std::exit(2);
 }
 
+// Strict numeric flag parsing: the whole value must be one number in
+// [lo, hi]; anything else — trailing junk, a sign on an unsigned flag, an
+// out-of-range value — is a command-line error (exit 2), never an
+// uncaught std::stoul exception or a huge allocation downstream.
+template <typename T>
+T parse_int(const char* flag, const char* text, T lo, T hi) {
+  T value{};
+  const char* end = text + std::strlen(text);
+  const auto [ptr, ec] = std::from_chars(text, end, value);
+  if (ec != std::errc() || ptr != end || *text == '\0' || value < lo ||
+      value > hi)
+    throw std::invalid_argument(std::string(flag) + " expects an integer in [" +
+                                std::to_string(lo) + ", " +
+                                std::to_string(hi) + "], got '" + text + "'");
+  return value;
+}
+
+double parse_real(const char* flag, const char* text) {
+  char* end = nullptr;
+  const double value = std::strtod(text, &end);
+  if (end == text || *end != '\0' || !std::isfinite(value))
+    throw std::invalid_argument(std::string(flag) +
+                                " expects a finite number, got '" + text + "'");
+  return value;
+}
+
+// Largest --n the generators are asked for; beyond it a typo would only
+// end in an allocation failure.
+constexpr NodeId kMaxNodes = 100'000'000;
+constexpr int kMaxWidth = 4096;
+
 Graph make_graph(const std::string& family, NodeId n, Rng& rng) {
   if (family == "tree") return gen::random_tree_prufer(n, rng);
   if (family == "forest2") return gen::k_tree_union(n, 2, rng);
@@ -81,7 +118,7 @@ Graph make_graph(const std::string& family, NodeId n, Rng& rng) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int cli_main(int argc, char** argv) {
   if (argc < 2) usage();
   const std::string algo = argv[1];
   if (algo == "list") {
@@ -109,20 +146,22 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
-    if (!std::strcmp(argv[i], "--file")) file = need("--file");
-    else if (!std::strcmp(argv[i], "--gen")) family = need("--gen");
-    else if (!std::strcmp(argv[i], "--n")) n = static_cast<NodeId>(std::stoul(need("--n")));
-    else if (!std::strcmp(argv[i], "--alpha")) params.alpha = static_cast<NodeId>(std::stoul(need("--alpha")));
-    else if (!std::strcmp(argv[i], "--eps")) params.eps = std::stod(need("--eps"));
-    else if (!std::strcmp(argv[i], "--t")) params.t = std::stoll(need("--t"));
-    else if (!std::strcmp(argv[i], "--k")) params.k = std::stoi(need("--k"));
-    else if (!std::strcmp(argv[i], "--weights")) weights = need("--weights");
-    else if (!std::strcmp(argv[i], "--seed")) seed = std::stoull(need("--seed"));
-    else if (!std::strcmp(argv[i], "--threads")) params.threads = std::stoi(need("--threads"));
-    else if (!std::strcmp(argv[i], "--shards")) params.shards = std::stoi(need("--shards"));
-    else if (!std::strcmp(argv[i], "--pin")) pin = true;
-    else if (!std::strcmp(argv[i], "--auto-replan")) auto_replan = true;
-    else if (!std::strcmp(argv[i], "--trace-out")) trace_out = need("--trace-out");
+    const char* flag = argv[i];
+    if (!std::strcmp(flag, "--file")) file = need(flag);
+    else if (!std::strcmp(flag, "--gen")) family = need(flag);
+    else if (!std::strcmp(flag, "--n")) n = parse_int<NodeId>(flag, need(flag), 1, kMaxNodes);
+    else if (!std::strcmp(flag, "--alpha")) params.alpha = parse_int<NodeId>(flag, need(flag), 1, kMaxNodes);
+    else if (!std::strcmp(flag, "--eps")) params.eps = parse_real(flag, need(flag));
+    // t and k: any integer parses; the registry checks their domain.
+    else if (!std::strcmp(flag, "--t")) params.t = parse_int(flag, need(flag), std::numeric_limits<std::int64_t>::min(), std::numeric_limits<std::int64_t>::max());
+    else if (!std::strcmp(flag, "--k")) params.k = parse_int(flag, need(flag), std::numeric_limits<int>::min(), std::numeric_limits<int>::max());
+    else if (!std::strcmp(flag, "--weights")) weights = need(flag);
+    else if (!std::strcmp(flag, "--seed")) seed = parse_int<std::uint64_t>(flag, need(flag), 0, std::numeric_limits<std::uint64_t>::max());
+    else if (!std::strcmp(flag, "--threads")) params.threads = parse_int<int>(flag, need(flag), 0, kMaxWidth);
+    else if (!std::strcmp(flag, "--shards")) params.shards = parse_int<int>(flag, need(flag), 1, kMaxWidth);
+    else if (!std::strcmp(flag, "--pin")) pin = true;
+    else if (!std::strcmp(flag, "--auto-replan")) auto_replan = true;
+    else if (!std::strcmp(flag, "--trace-out")) trace_out = need(flag);
     else usage();
   }
 
@@ -152,8 +191,7 @@ int main(int argc, char** argv) {
   inst.forest = is_forest(inst.wg.graph());
   harness::ScenarioSpec spec;
   const int width = params.threads >= 0 ? params.threads : 1;
-  // -1 = default (unsharded); anything else is validated by the scenario
-  // runner so `--shards 0` fails loudly instead of silently running K=1.
+  // -1 = default (unsharded); the parser already range-checked the rest.
   const int shard_count = params.shards == -1 ? 1 : params.shards;
   params.threads = -1;
   params.shards = -1;
@@ -170,15 +208,17 @@ int main(int argc, char** argv) {
 
   const std::vector<const harness::CorpusInstance*> instances = {&inst};
   std::vector<harness::ScenarioRow> rows;
+  // A solver-run failure (bad parameter, inapplicable instance, invalid
+  // result) exits 1; exit 2 stays reserved for command-line input errors.
   try {
     rows = harness::run_scenario(spec, instances);
+    rows.front().result.validate(inst.wg, 1e-5);
   } catch (const CheckError& e) {
     std::cerr << "error: " << e.what() << "\n";
     return 1;
   }
   const MdsResult& res = rows.front().result;
 
-  res.validate(inst.wg, 1e-5);
   std::cout << "solver:          " << info.name << " (" << info.theorem
             << ", " << info.guarantee << ")\n"
             << "set size:        " << res.dominating_set.size() << "\n"
@@ -206,4 +246,13 @@ int main(int argc, char** argv) {
               << " (open in Perfetto / chrome://tracing)\n";
   std::cout << "verified:        OK\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  try {
+    return cli_main(argc, argv);
+  } catch (const std::exception& e) {
+    std::cerr << "arbods_cli: error: " << e.what() << "\n";
+    return 2;
+  }
 }

@@ -1,5 +1,6 @@
 #include "congest/message.hpp"
 
+#include <algorithm>
 #include <bit>
 
 #include "common/check.hpp"
@@ -59,10 +60,6 @@ Message& Message::add_flag(bool b) {
 
 Message& Message::add_real(double x) {
   return push({FieldKind::kReal, 0, x});
-}
-
-Message& Message::add_tag(int tag) {
-  return push({FieldKind::kTag, tag, 0.0});
 }
 
 const Field& Message::field_checked(std::size_t i, FieldKind kind) const {
@@ -242,16 +239,70 @@ FieldKind MessageView::kind_at(std::size_t i) const {
   return static_cast<FieldKind>((word >> (4 * (i % kKindsPerWord))) & 0xf);
 }
 
+std::size_t MessageView::payload_offset(std::size_t i) const {
+  std::size_t pos = 0;
+  for (std::size_t j = 0; j < i; ++j)
+    pos += static_cast<std::size_t>(
+        wire_field_bits(kind_at(j), *model_, quantized_));
+  return pos;
+}
+
 std::uint64_t MessageView::payload_bits_at(std::size_t i, FieldKind kind) const {
   const std::size_t nf = num_fields();
   ARBODS_CHECK_MSG(i < nf, "field index " << i << " out of range");
   ARBODS_CHECK_MSG(kind_at(i) == kind, "field " << i << " kind mismatch");
   const std::uint64_t* payload = words_ + 1 + kind_words(nf);
-  std::size_t pos = 0;
-  for (std::size_t j = 0; j < i; ++j)
-    pos += static_cast<std::size_t>(
-        wire_field_bits(kind_at(j), *model_, quantized_));
-  return get_bits(payload, pos, wire_field_bits(kind, *model_, quantized_));
+  return get_bits(payload, payload_offset(i),
+                  wire_field_bits(kind, *model_, quantized_));
+}
+
+std::size_t MessageView::strip_prefix(std::size_t first,
+                                      std::uint64_t* dst) const {
+  const std::size_t nf = num_fields();
+  ARBODS_CHECK_MSG(first <= nf, "field index " << first << " out of range");
+  const std::size_t out_nf = nf - first;
+  const std::size_t out_kwords = kind_words(out_nf);
+  for (std::size_t w = 0; w < out_kwords; ++w) dst[1 + w] = 0;
+  for (std::size_t j = 0; j < out_nf; ++j)
+    dst[1 + j / kKindsPerWord] |= static_cast<std::uint64_t>(kind_at(first + j))
+                                  << (4 * (j % kKindsPerWord));
+  // The kept fields' payload bits are contiguous: shift them down to bit
+  // 0 a word at a time. get_bits masks each window, so the tail of the
+  // last word is zero exactly as wire_encode leaves it.
+  const std::uint64_t* payload = words_ + 1 + kind_words(nf);
+  const std::size_t start = payload_offset(first);
+  const std::size_t bits = payload_offset(nf) - start;
+  std::uint64_t* out = dst + 1 + out_kwords;
+  const std::size_t out_pwords = (bits + 63) / 64;
+  for (std::size_t w = 0; w < out_pwords; ++w) {
+    const std::size_t taken = 64 * w;
+    const int width = static_cast<int>(std::min<std::size_t>(64, bits - taken));
+    out[w] = get_bits(payload, start + taken, width);
+  }
+  const std::size_t total = 1 + out_kwords + out_pwords;
+  dst[0] = static_cast<std::uint64_t>(sender()) |
+           (static_cast<std::uint64_t>(out_nf) << 32) |
+           (static_cast<std::uint64_t>(total) << 48);
+  return total;
+}
+
+Message& Message::append_fields(const MessageView& src, std::size_t first) {
+  const std::size_t nf = src.num_fields();
+  const std::uint64_t* payload = src.words_ + 1 + kind_words(nf);
+  std::size_t pos = src.payload_offset(first);
+  for (std::size_t i = first; i < nf; ++i) {
+    const FieldKind kind = src.kind_at(i);
+    const int width = wire_field_bits(kind, *src.model_, src.quantized_);
+    const std::uint64_t bits = get_bits(payload, pos, width);
+    pos += static_cast<std::size_t>(width);
+    if (kind != FieldKind::kReal) {
+      push({kind, static_cast<std::int64_t>(bits), 0.0});
+    } else {
+      push({kind, 0, src.quantized_ ? default_value_codec().decode(bits)
+                                    : std::bit_cast<double>(bits)});
+    }
+  }
+  return *this;
 }
 
 int MessageView::tag() const {

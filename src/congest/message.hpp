@@ -93,6 +93,8 @@ struct Field {
   double rvalue = 0.0;      // used by kReal
 };
 
+class MessageView;
+
 /// Sender-side message builder. Cheap to construct and move: fields are
 /// stored inline (no heap) up to kInlineFields; only oversized diagnostic
 /// messages (cap-enforcement tests and the like) spill to a vector.
@@ -116,10 +118,11 @@ class Message {
   Message& add_level(std::int64_t level);
   Message& add_flag(bool b);
   Message& add_real(double x);
-  /// Appends a kTag field at the current position (tagged() only places
-  /// one at field 0). Needed by relays that re-encode a received record
-  /// field-for-field, e.g. the reliable-transport payload unwrap.
-  Message& add_tag(int tag);
+  /// Appends fields [first, src.num_fields()) of a wire record, decoded in
+  /// one sequential pass. Reals come back codec-decoded, so encoding the
+  /// result reproduces exactly the wire bits of `src` — the relay step of
+  /// the reliable transport, which wraps a stored payload in a frame.
+  Message& append_fields(const MessageView& src, std::size_t first = 0);
 
   std::size_t num_fields() const { return size_; }
 
@@ -207,6 +210,13 @@ class MessageView {
 
   FieldKind kind_at(std::size_t i) const;
 
+  /// Writes the wire record a clean send of fields [first, num_fields())
+  /// with the same sender would produce — the record with its first
+  /// `first` fields stripped, a bit shift rather than a decode/re-encode.
+  /// dst must hold words() words (the stripped record is never longer);
+  /// returns the words written.
+  std::size_t strip_prefix(std::size_t first, std::uint64_t* dst) const;
+
   /// Typed accessors; kind mismatches are contract violations, exactly as
   /// on the builder.
   int tag() const;  // tag of field 0 (kTag); -1 if untagged
@@ -218,7 +228,10 @@ class MessageView {
   double real_at(std::size_t i) const;
 
  private:
+  friend class Message;
   std::uint64_t payload_bits_at(std::size_t i, FieldKind kind) const;
+  /// Payload bit offset of field i (the sum of the wire widths before it).
+  std::size_t payload_offset(std::size_t i) const;
 
   const std::uint64_t* words_;
   const MessageSizeModel* model_;

@@ -507,8 +507,11 @@ class Network {
   /// Accounts wall-clock spent in the reliable-transport receive /
   /// transmit passes into stats().timing (resilience::ReliablePhase
   /// calls this; the passes run outside the Network's own seams).
+  /// The passes run inside an initialize/process_round interval, so the
+  /// time moves out of compute: the timing columns stay disjoint.
   void account_retransmit_seconds(double s) {
     stats_.timing.retransmit_seconds += s;
+    stats_.timing.compute_seconds -= s;
   }
 
   /// Flight-recorder contents: the last min(flight_rounds, rounds run)

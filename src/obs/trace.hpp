@@ -64,8 +64,9 @@ struct TraceOptions {
 /// initialize + process_round (the send half-round and all per-node
 /// work); flip covers flip_buffers (for a sharded run this INCLUDES the
 /// bridge merge, which merge additionally reports on its own);
-/// retransmit covers the reliable-transport receive/transmit passes and
-/// is a sub-interval of compute. Always measured (a handful of
+/// retransmit covers the reliable-transport receive/transmit passes,
+/// which compute excludes — the columns are disjoint, so compute + flip
+/// + retransmit never exceeds the wall time. Always measured (a handful of
 /// monotonic-clock reads per round), tracing enabled or not.
 struct TimingStats {
   double compute_seconds = 0.0;

@@ -1,6 +1,7 @@
 #include "protocol/runner.hpp"
 
 #include <algorithm>
+#include <optional>
 
 #include "resilience/reliable_channel.hpp"
 #include "shard/partition.hpp"
@@ -59,18 +60,24 @@ RunStats ProtocolRunner::run(std::span<Phase* const> phases,
   // reliable-delivery adapter: the wrapped phase executes on a clean
   // virtual network while ReliablePhase speaks the seq/ack/retransmit
   // protocol on this (possibly faulty) one. Solvers opt in through
-  // config alone — no phase list changes anywhere.
+  // config alone — no phase list changes anywhere. One adapter serves
+  // every phase, so its virtual network is built once per run.
   const bool rel = net_->config().reliable_transport;
+  std::optional<resilience::ReliablePhase> wrapped;
   for (std::size_t i = 0; i < phases.size(); ++i) {
     Phase* phase = phases[i];
     ARBODS_CHECK(phase != nullptr);
     if (rel) {
-      resilience::ReliablePhase wrapped(*phase);
-      wrapped.bind(ctx_);
+      if (wrapped) {
+        wrapped->wrap(*phase);
+      } else {
+        wrapped.emplace(*phase);
+      }
+      wrapped->bind(ctx_);
       const PhaseStats& ps =
-          net_->run_phase(wrapped, wrapped.name(), max_rounds_per_phase);
+          net_->run_phase(*wrapped, wrapped->name(), max_rounds_per_phase);
       if (ps.hit_round_limit) break;
-      wrapped.publish(*net_, ctx_);
+      wrapped->publish(*net_, ctx_);
     } else {
       phase->bind(ctx_);
       const PhaseStats& ps =

@@ -38,44 +38,45 @@ CongestConfig algo_config(const Network& outer) {
   cfg.reliable_transport = false;
   cfg.shards = 1;
   cfg.threads = outer.num_workers();
-  // One recorder per run, owned by the outer stack — the staging engine
-  // must not construct its own (a fresh ReliableNetwork is built per
-  // wrapped phase).
+  // One recorder per run, owned by the outer stack — the virtual network
+  // and its staging engine must not construct their own.
   cfg.trace = obs::TraceOptions{};
   return cfg;
 }
 
-/// Re-appends the payload fields of a received DATA frame (everything
-/// after the 4-field transport header) onto a builder Message. Reals
-/// come back codec-decoded, so the later staging re-encode is
-/// idempotent — the algorithm observes exactly the bits a clean send
-/// would have delivered.
-Message decode_payload(const MessageView& mv) {
-  Message m;
-  const std::size_t nf = mv.num_fields();
-  for (std::size_t i = 4; i < nf; ++i) {
-    switch (mv.kind_at(i)) {
-      case FieldKind::kNodeId:
-        m.add_id(mv.id_at(i));
-        break;
-      case FieldKind::kWeight:
-        m.add_weight(mv.weight_at(i));
-        break;
-      case FieldKind::kLevel:
-        m.add_level(mv.level_at(i));
-        break;
-      case FieldKind::kFlag:
-        m.add_flag(mv.flag_at(i));
-        break;
-      case FieldKind::kReal:
-        m.add_real(mv.real_at(i));
-        break;
-      case FieldKind::kTag:
-        m.add_tag(mv.tag_at(i));
-        break;
-    }
-  }
-  return m;
+// Control word of a unit in a Link's sender ring: the retransmit
+// deadline (physical round; 0 = due now), the attempt count, and the
+// marker/payload flags. A held (out-of-order) arrival uses the same two
+// flags over its sequence number in the low 32 bits.
+constexpr std::uint64_t kUnitDueMask = (std::uint64_t{1} << 48) - 1;
+constexpr int kUnitAttemptShift = 48;
+constexpr std::uint64_t kUnitAttemptMask = std::uint64_t{0xff}
+                                           << kUnitAttemptShift;
+constexpr std::uint64_t kUnitMarker = std::uint64_t{1} << 56;
+constexpr std::uint64_t kUnitPayload = std::uint64_t{1} << 57;
+constexpr std::uint64_t kHeldSeqMask = 0xffffffffu;
+
+/// Transport header fields in front of a DATA frame's payload.
+constexpr std::size_t kDataHeaderFields = 4;
+
+constexpr std::int64_t kNever = std::numeric_limits<std::int64_t>::max();
+
+/// Total words of the wire record starting at rec (header word field).
+std::size_t record_words(const std::uint64_t* rec) {
+  return static_cast<std::size_t>((rec[0] >> 48) & 0xffffu);
+}
+
+/// Words of the ring/held entry starting at ctl (control word + payload).
+std::size_t entry_words(const std::uint64_t* ctl) {
+  return 1 + ((ctl[0] & kUnitPayload) != 0 ? record_words(ctl + 1) : 0);
+}
+
+void check_seq(std::uint32_t next_seq, std::int64_t limit, std::size_t q) {
+  ARBODS_CHECK_MSG(
+      static_cast<std::int64_t>(next_seq) < limit,
+      "reliable-transport sequence number overflow on arc "
+          << q << " (limit " << limit
+          << "): the phase outlived the level-field width of this instance");
 }
 
 }  // namespace
@@ -85,264 +86,290 @@ ReliableNetwork::ReliableNetwork(const Network& outer)
   const int workers = num_workers();
   staging_ = std::unique_ptr<Network>(
       new Network(*wg_, config_, SliceInit{0, num_nodes(), workers}));
-  out_.resize(mirror_.size());
-  in_.resize(mirror_.size());
-  ready_arcs_.resize(static_cast<std::size_t>(workers));
+  links_.resize(mirror_.size());
+  ready_links_.resize(static_cast<std::size_t>(workers));
   seq_limit_ = std::int64_t{1} << size_model_.level_bits;
 }
 
 ReliableNetwork::~ReliableNetwork() = default;
 
 void ReliableNetwork::send(NodeId from, NodeId to, const Message& m) {
-  enqueue_unit(mirror_[resolve_arc(from, to)], m, /*marker=*/false);
+  const std::size_t q = resolve_arc(from, to);
+  // The wrapped algorithm's CONGEST discipline: encode once and cap-check
+  // against the ORIGINAL limit at capture time, exactly where a clean
+  // send would have thrown (before any side effect).
+  const std::size_t w = worker_slot();
+  int bits = 0;
+  const std::size_t need = encode_into_scratch(w, m, from, &bits);
+  push_unit(q, kUnitPayload, scratch_[w].data(), need);
 }
 
 void ReliableNetwork::broadcast(NodeId from, const Message& m) {
   const std::size_t begin = offsets_[from];
   const std::size_t end = offsets_[from + 1];
-  for (std::size_t arc = begin; arc != end; ++arc)
-    enqueue_unit(mirror_[arc], m, /*marker=*/false);
+  if (begin == end) return;
+  const std::size_t w = worker_slot();
+  int bits = 0;
+  const std::size_t need = encode_into_scratch(w, m, from, &bits);
+  for (std::size_t q = begin; q != end; ++q)
+    push_unit(q, kUnitPayload, scratch_[w].data(), need);
 }
 
-void ReliableNetwork::enqueue_unit(std::uint32_t glane, const Message& m,
-                                   bool marker) {
-  if (!marker) {
-    // The wrapped algorithm's CONGEST discipline: cap-check against the
-    // ORIGINAL limit at capture time, exactly where a clean send would
-    // have thrown (before any side effect).
-    const int bits = wire_payload_bits(m, size_model_);
-    check_cap(bits);
+void ReliableNetwork::push_unit(std::size_t q, std::uint64_t ctl,
+                                const std::uint64_t* payload,
+                                std::size_t nwords) {
+  Link& l = links_[q];
+  check_seq(l.next_seq, seq_limit_, q);
+  l.last = static_cast<std::uint32_t>(l.ring.size());
+  l.ring.push_back(ctl);  // deadline 0: due immediately
+  if (nwords > 0) l.ring.insert(l.ring.end(), payload, payload + nwords);
+  ++l.next_seq;
+  l.next_due = 0;
+}
+
+void ReliableNetwork::close_links(NodeId v) {
+  // The end-of-round marker rides on the round's last unit when it has
+  // a payload field to tell it apart from a bare marker frame; otherwise
+  // (no unit this round, or a zero-field last send) it is a unit of its
+  // own.
+  for (std::size_t q = offsets_[v]; q != offsets_[v + 1]; ++q) {
+    Link& l = links_[q];
+    const bool piggyback =
+        l.next_seq != l.round_seq &&
+        MessageView(&l.ring[l.last + 1], &size_model_, config_.quantize_reals)
+                .num_fields() > 0;
+    if (piggyback) {
+      l.ring[l.last] |= kUnitMarker;
+    } else {
+      push_unit(q, kUnitMarker, nullptr, 0);
+    }
+    l.round_seq = l.next_seq;
   }
-  OutArc& oa = out_[glane];
-  ARBODS_CHECK_MSG(
-      static_cast<std::int64_t>(oa.next_seq) < seq_limit_,
-      "reliable-transport sequence number overflow on arc "
-          << glane << " (limit " << seq_limit_
-          << "): the phase outlived the level-field width of this instance");
-  OutUnit unit;
-  unit.msg = m;
-  unit.marker = marker;
-  oa.units.push_back(std::move(unit));
-  ++oa.next_seq;
-  oa.next_due = 0;  // the new unit is due immediately
-}
-
-void ReliableNetwork::close_virtual_round() {
-  for_nodes([&](NodeId v) {
-    const std::size_t begin = offsets_[v];
-    const std::size_t end = offsets_[v + 1];
-    for (std::size_t arc = begin; arc != end; ++arc)
-      enqueue_unit(mirror_[arc], Message{}, /*marker=*/true);
-  });
 }
 
 bool ReliableNetwork::virtual_round_complete() const {
   std::int64_t ready = 0;
-  for (const WorkerCounter& c : ready_arcs_) ready += c.value;
-  return ready == static_cast<std::int64_t>(mirror_.size());
+  for (const WorkerCounter& c : ready_links_) ready += c.value;
+  return ready == static_cast<std::int64_t>(links_.size());
 }
 
-void ReliableNetwork::abandon_outstanding() {
-  // The wrapped phase finished: whatever is captured but unacked dies
-  // with the phase, exactly as a clean run drops the final round's
-  // undelivered out-arena records.
-  for (OutArc& oa : out_) {
-    oa.base_seq = oa.next_seq;
-    oa.acked = oa.next_seq;
-    oa.units.clear();
-    oa.next_due = std::numeric_limits<std::int64_t>::max();
-  }
+void ReliableNetwork::for_listed_nodes(
+    std::span<const NodeId> nodes, FunctionRef<void(NodeId, std::size_t)> fn) {
+  ARBODS_DCHECK(std::is_sorted(nodes.begin(), nodes.end()));
+  const std::size_t workers = static_cast<std::size_t>(num_workers());
+  const std::size_t n = num_nodes();
+  // Worker w owns nodes [n*w/W, n*(w+1)/W) — for_nodes' uniform split —
+  // whichever thread runs the block, so a staging lane's deposits come
+  // from one worker slot for the whole virtual round.
+  auto block = [&](std::size_t w) {
+    const auto lo = static_cast<NodeId>(n * w / workers);
+    const auto hi = static_cast<NodeId>(n * (w + 1) / workers);
+    auto it = std::lower_bound(nodes.begin(), nodes.end(), lo);
+    const auto end = std::lower_bound(it, nodes.end(), hi);
+    for (; it != end; ++it) fn(*it, w);
+  };
+  run_index_chunks(workers, [&](std::size_t begin, std::size_t end) {
+    for (std::size_t w = begin; w < end; ++w) block(w);
+  });
 }
 
 void ReliableNetwork::receive_pass(Network& outer) {
-  for (WorkerCounter& c : ready_arcs_) c.value = 0;
-  for_nodes([&](NodeId v) {
-    for (const MessageView mv : outer.inbox(v)) receive_frame(v, mv);
-    // Recount v's arcs that have closed the next virtual round. A sender
-    // only creates vround r+1 units after the global advance to r+1, so
-    // rounds_done never runs more than one round ahead of delivered_.
-    std::int64_t ready = 0;
-    const std::size_t begin = offsets_[v];
-    const std::size_t end = offsets_[v + 1];
-    for (std::size_t q = begin; q < end; ++q)
-      if (in_[q].rounds_done > delivered_) ++ready;
-    ready_arcs_[worker_slot()].value += ready;
+  for_listed_nodes(outer.active_nodes(), [&](NodeId v, std::size_t w) {
+    receive_node(outer, v, w);
   });
 }
 
-void ReliableNetwork::receive_frame(NodeId v, const MessageView& mv) {
-  // The true sender rides in the record, so a reorder-diverted frame
-  // still resolves to its real arc; everything below touches only state
-  // owned by v (its in-arcs and out-arcs), keeping the pass race-free.
-  const NodeId u = mv.sender();
-  const std::size_t q = resolve_arc(v, u);  // v's in-arc from u
-  const int t = mv.tag();
-  const auto apply_ack = [&](std::int64_t ack) {
-    OutArc& oa = out_[mirror_[q]];  // v's out-arc to u
-    if (ack > static_cast<std::int64_t>(oa.acked))
-      oa.acked = static_cast<std::uint32_t>(ack);
-    while (oa.base_seq < oa.acked && !oa.units.empty()) {
-      oa.units.pop_front();
-      ++oa.base_seq;
+void ReliableNetwork::receive_node(Network& outer, NodeId v, std::size_t w) {
+  for (const MessageView mv : outer.inbox(v)) {
+    // The true sender rides in the record, so a reorder-diverted frame
+    // still resolves to its real link; everything below touches only
+    // v's links, keeping the pass race-free.
+    const std::size_t q = resolve_arc(v, mv.sender());
+    Link& l = links_[q];
+    const int t = mv.tag();
+    if (t != kTransportDataTag && t != kTransportAckTag) continue;
+    // Cumulative ack (standalone, or piggybacked on DATA).
+    l.pop_acked(mv.level_at(t == kTransportAckTag ? 1 : 2));
+    if (t != kTransportDataTag) continue;
+
+    const auto seq = static_cast<std::uint32_t>(mv.level_at(1));
+    const bool marker = mv.flag_at(3);
+    // A bare 4-field frame is a marker when flagged, a zero-field payload
+    // otherwise; anything longer carries a payload (and maybe a marker).
+    const bool payload = mv.num_fields() > kDataHeaderFields || !marker;
+    const std::uint64_t ctl =
+        seq | (marker ? kUnitMarker : 0) | (payload ? kUnitPayload : 0);
+    if (seq < l.next) {
+      // Duplicate or stale retransmit: the sender may have missed an ack.
+      l.ack_due = true;
+      continue;
     }
-  };
-  if (t == kTransportAckTag) {
-    apply_ack(mv.level_at(1));
-    return;
+    if (seq == l.next) {
+      // In-order fast path: straight into the staging engine.
+      std::vector<std::uint64_t>& buf = scratch_[w];
+      if (buf.size() < mv.words()) buf.resize(mv.words());
+      const std::size_t nwords =
+          payload ? mv.strip_prefix(kDataHeaderFields, buf.data()) : 0;
+      consume(q, w, ctl, buf.data(), nwords);
+      if (!l.held.empty()) drain_held(q, w);
+      continue;
+    }
+    bool present = false;
+    for (std::size_t o = 0; o < l.held.size() && !present;
+         o += entry_words(&l.held[o]))
+      present = (l.held[o] & kHeldSeqMask) == seq;
+    if (present) {
+      l.ack_due = true;
+      continue;
+    }
+    const std::size_t at = l.held.size();
+    l.held.resize(at + 1 + (payload ? mv.words() : 0));
+    l.held[at] = ctl;
+    if (payload) {
+      const std::size_t nwords =
+          mv.strip_prefix(kDataHeaderFields, &l.held[at + 1]);
+      l.held.resize(at + 1 + nwords);
+    }
   }
-  if (t != kTransportDataTag) return;  // not ours (defensive)
-  apply_ack(mv.level_at(2));  // piggybacked cumulative ack
-  const std::uint32_t seq = static_cast<std::uint32_t>(mv.level_at(1));
-  const bool marker = mv.flag_at(3);
-  InArc& ia = in_[q];
-  if (seq < ia.next) {
-    // Duplicate or stale retransmit: the sender may have missed an ack.
-    ia.ack_due = true;
-    return;
+}
+
+void ReliableNetwork::Link::pop_acked(std::int64_t ack) {
+  while (static_cast<std::int64_t>(base_seq) < ack && base_seq != next_seq) {
+    head += static_cast<std::uint32_t>(entry_words(&ring[head]));
+    ++base_seq;
+    if (head == ring.size()) {
+      ring.clear();
+      head = last = 0;
+    } else if (2 * head >= ring.size()) {
+      // Compact once the acked prefix is at least half the ring: each
+      // move copies no more words than were popped since the last one,
+      // and the capacity stays near the in-flight window.
+      ring.erase(ring.begin(), ring.begin() + head);
+      last -= head;
+      head = 0;
+    }
   }
-  bool present = false;
-  for (const BufUnit& b : ia.buffer) present |= (b.seq == seq);
-  if (present) {
-    ia.ack_due = true;
+}
+
+void ReliableNetwork::drain_held(std::size_t q, std::size_t w) {
+  // Consume the held arrivals that are now in order, one seq at a time.
+  std::vector<std::uint64_t>& held = links_[q].held;
+  for (std::size_t o = 0; o < held.size();) {
+    const std::size_t len = entry_words(&held[o]);
+    if ((held[o] & kHeldSeqMask) != links_[q].next) {
+      o += len;
+      continue;
+    }
+    consume(q, w, held[o], held.data() + o + 1, len - 1);
+    held.erase(held.begin() + static_cast<std::ptrdiff_t>(o),
+               held.begin() + static_cast<std::ptrdiff_t>(o + len));
+    o = 0;
+  }
+}
+
+void ReliableNetwork::consume(std::size_t q, std::size_t w, std::uint64_t ctl,
+                              const std::uint64_t* payload,
+                              std::size_t nwords) {
+  // A payload is deposited in seq order into its staging lane — the
+  // record a clean sender would have written there — from the worker
+  // owning the receiving node; the round's marker marks the link ready.
+  if ((ctl & kUnitPayload) != 0)
+    staging_->deposit_words(w, static_cast<EdgeSlot>(q), payload, nwords);
+  if ((ctl & kUnitMarker) != 0) ++ready_links_[w].value;
+  Link& l = links_[q];
+  ++l.next;
+  l.ack_due = true;
+}
+
+void ReliableNetwork::transmit_pass(Network& outer, bool close_round) {
+  const std::int64_t now = outer.current_round();
+  if (close_round) {
+    for_nodes([&](NodeId v) {
+      close_links(v);
+      transmit_node(outer, v, now);
+    });
   } else {
-    ia.buffer.push_back(BufUnit{seq, marker, decode_payload(mv)});
-  }
-  // Consume the in-order prefix. Payloads are labeled with the virtual
-  // round they belong to (= markers consumed so far on this arc, since a
-  // round's payloads precede its marker in seq order).
-  bool advanced = true;
-  while (advanced) {
-    advanced = false;
-    for (std::size_t j = 0; j < ia.buffer.size(); ++j) {
-      if (ia.buffer[j].seq != ia.next) continue;
-      BufUnit b = std::move(ia.buffer[j]);
-      ia.buffer[j] = std::move(ia.buffer.back());
-      ia.buffer.pop_back();
-      if (b.marker) {
-        ++ia.rounds_done;
-      } else {
-        ia.pending.push_back(PendingMsg{ia.rounds_done, std::move(b.msg)});
-      }
-      ++ia.next;
-      ia.ack_due = true;
-      advanced = true;
-      break;
-    }
+    for_listed_nodes(outer.active_nodes(), [&](NodeId v, std::size_t) {
+      transmit_node(outer, v, now);
+    });
   }
 }
 
-void ReliableNetwork::transmit_pass(Network& outer) {
-  const std::int64_t now = outer.current_round();
-  for_nodes([&](NodeId v) {
-    const std::size_t begin = offsets_[v];
-    const std::size_t end = offsets_[v + 1];
-    // Due DATA units, in arc order then seq order (deterministic
-    // per-lane record order at every pool width).
-    for (std::size_t arc = begin; arc < end; ++arc) {
-      const std::uint32_t g = mirror_[arc];
-      OutArc& oa = out_[g];
-      if (oa.units.empty() || oa.next_due > now) continue;
-      const NodeId u = neighbors(v)[arc - begin];
-      std::int64_t min_next = std::numeric_limits<std::int64_t>::max();
-      for (std::size_t j = 0; j < oa.units.size(); ++j) {
-        OutUnit& unit = oa.units[j];
-        if (unit.next_tx <= now) {
-          transmit_unit(outer, v, u, g,
-                        oa.base_seq + static_cast<std::uint32_t>(j), unit);
+void ReliableNetwork::transmit_node(Network& outer, NodeId v,
+                                    std::int64_t now) {
+  const std::size_t begin = offsets_[v];
+  const std::size_t end = offsets_[v + 1];
+  const std::span<const NodeId> nb = neighbors(v);
+  std::int64_t earliest = kNever;
+  // Due DATA units, in link order then seq order (deterministic
+  // per-lane record order at every pool width).
+  for (std::size_t q = begin; q != end; ++q) {
+    Link& l = links_[q];
+    if (l.base_seq == l.next_seq) continue;
+    if (l.next_due <= now) {
+      std::int64_t min_due = kNever;
+      std::uint32_t seq = l.base_seq;
+      for (std::size_t o = l.head; o < l.ring.size(); ++seq) {
+        std::uint64_t* unit = &l.ring[o];
+        auto due = static_cast<std::int64_t>(unit[0] & kUnitDueMask);
+        if (due <= now) {
+          due = send_data(outer, v, nb[q - begin], q, seq, unit, now);
+          l.last_data_tx = now;
         }
-        min_next = std::min(min_next, unit.next_tx);
+        min_due = std::min(min_due, due);
+        o += entry_words(unit);
       }
-      oa.next_due = min_next;
+      l.next_due = min_due;
     }
-    // Standalone cumulative ACKs where no reverse DATA carried one.
-    for (std::size_t q = begin; q < end; ++q) {
-      InArc& ia = in_[q];
-      if (!ia.ack_due) continue;
-      ia.ack_due = false;
-      if (out_[mirror_[q]].last_data_tx == now) continue;  // piggybacked
-      const NodeId u = neighbors(v)[q - begin];
-      outer.send(v, u,
-                 Message::tagged(kTransportAckTag).add_level(ia.next));
-    }
-  });
+    earliest = std::min(earliest, l.next_due);
+  }
+  // Standalone cumulative ACKs where no DATA frame carried one.
+  for (std::size_t q = begin; q != end; ++q) {
+    Link& l = links_[q];
+    if (!l.ack_due) continue;
+    l.ack_due = false;
+    if (l.last_data_tx == now) continue;  // piggybacked
+    outer.send(v, nb[q - begin],
+               Message::tagged(kTransportAckTag).add_level(l.next));
+  }
+  // Wake v on the outer network at its earliest retransmit deadline
+  // (a stale or duplicate wake only costs an idle visit).
+  if (earliest != kNever) outer.arm_at(v, earliest);
 }
 
-void ReliableNetwork::transmit_unit(Network& outer, NodeId sender,
-                                    NodeId receiver, std::uint32_t glane,
-                                    std::uint32_t seq, OutUnit& unit) {
+std::int64_t ReliableNetwork::send_data(Network& outer, NodeId v, NodeId u,
+                                        std::size_t q, std::uint32_t seq,
+                                        std::uint64_t* unit, std::int64_t now) {
+  // seq, the piggybacked cumulative ack of the reverse direction (this
+  // link's receive half), the marker flag, then the payload fields.
   Message frame = Message::tagged(kTransportDataTag);
-  frame.add_level(seq);
-  // Piggyback the cumulative ack of the reverse arc (sender's in-arc
-  // from this receiver) — written and read only by `sender`.
-  frame.add_level(in_[mirror_[glane]].next);
-  frame.add_flag(unit.marker);
-  const Message& payload = unit.msg;
-  const std::size_t nf = payload.num_fields();
-  for (std::size_t i = 0; i < nf; ++i) {
-    const Field& f = payload.field(i);
-    switch (f.kind) {
-      case FieldKind::kNodeId:
-        frame.add_id(static_cast<NodeId>(f.ivalue));
-        break;
-      case FieldKind::kWeight:
-        frame.add_weight(f.ivalue);
-        break;
-      case FieldKind::kLevel:
-        frame.add_level(f.ivalue);
-        break;
-      case FieldKind::kFlag:
-        frame.add_flag(f.ivalue != 0);
-        break;
-      case FieldKind::kReal:
-        frame.add_real(f.rvalue);
-        break;
-      case FieldKind::kTag:
-        frame.add_tag(static_cast<int>(f.ivalue));
-        break;
-    }
-  }
-  outer.send(sender, receiver, frame);
-  const std::int64_t now = outer.current_round();
-  unit.next_tx = now + retransmit_gap(glane, seq, unit.attempt);
-  if (unit.attempt < 255) ++unit.attempt;
-  out_[glane].last_data_tx = now;
+  frame.add_level(seq).add_level(links_[q].next).add_flag(
+      (unit[0] & kUnitMarker) != 0);
+  if ((unit[0] & kUnitPayload) != 0)
+    frame.append_fields(
+        MessageView(unit + 1, &size_model_, config_.quantize_reals));
+  outer.send(v, u, frame);
+  const auto attempt = static_cast<std::uint8_t>(
+      (unit[0] & kUnitAttemptMask) >> kUnitAttemptShift);
+  const std::int64_t due = now + retransmit_gap(mirror_[q], seq, attempt);
+  const std::uint64_t next_attempt = attempt < 255 ? attempt + 1 : 255;
+  unit[0] = (unit[0] & ~(kUnitDueMask | kUnitAttemptMask)) |
+            static_cast<std::uint64_t>(due) |
+            (next_attempt << kUnitAttemptShift);
+  return due;
 }
 
 void ReliableNetwork::deliver_and_flip() {
-  // Deposit the completed virtual round's payloads into the staging
-  // engine: per in-lane, in seq order — the canonical order a clean
-  // sender would have written them in, from the lane's single writer
-  // (the receiving node's chunk worker).
-  for_nodes([&](NodeId v) {
-    const std::size_t w = worker_slot();
-    const std::size_t begin = offsets_[v];
-    const std::size_t end = offsets_[v + 1];
-    for (std::size_t q = begin; q < end; ++q) {
-      InArc& ia = in_[q];
-      const NodeId sender = neighbors(v)[q - begin];
-      while (ia.pending_head < ia.pending.size() &&
-             ia.pending[ia.pending_head].vround == delivered_) {
-        int bits = 0;
-        const std::size_t need = encode_into_scratch(
-            w, ia.pending[ia.pending_head].msg, sender, &bits);
-        staging_->deposit_wire(static_cast<EdgeSlot>(q), scratch_[w].data(),
-                               need);
-        ++ia.pending_head;
-      }
-      if (ia.pending_head == ia.pending.size()) {
-        ia.pending.clear();
-        ia.pending_head = 0;
-      }
-    }
-  });
-  // Same flip/round lockstep as FaultyNetwork: flip with the old round
-  // installed (the calendar drain keys off it), then advance both
-  // counters to the new virtual round.
+  // The staging out-arena already holds the completed round's payloads,
+  // deposited in seq order as they were consumed. Same flip/round
+  // lockstep as FaultyNetwork: flip with the old round installed (the
+  // calendar drain keys off it), then advance both counters.
   staging_->flip_buffers();
   ++delivered_;
   staging_->round_ = delivered_;
   round_ = delivered_;
   active_dirty_ = true;
+  for (WorkerCounter& c : ready_links_) c.value = 0;
 }
 
 // --- seam overrides -------------------------------------------------------
@@ -382,19 +409,47 @@ void ReliableNetwork::shrink_scratch() { staging_->shrink_scratch(); }
 void ReliableNetwork::reset_for_reuse() {
   staging_->reset_for_reuse();
   rng_streams_fresh_ = true;
-  for (OutArc& oa : out_) oa = OutArc{};
-  for (InArc& ia : in_) ia = InArc{};
-  for (WorkerCounter& c : ready_arcs_) c.value = 0;
+  // Back to the fresh-construction state, keeping every ring's and
+  // reorder buffer's capacity.
+  for (Link& l : links_) {
+    std::vector<std::uint64_t> ring = std::move(l.ring);
+    std::vector<std::uint64_t> held = std::move(l.held);
+    ring.clear();
+    held.clear();
+    l = Link{};
+    l.ring = std::move(ring);
+    l.held = std::move(held);
+  }
+  for (WorkerCounter& c : ready_links_) c.value = 0;
   delivered_ = 0;
   Network::reset_for_reuse();
 }
 
 // --- ReliablePhase --------------------------------------------------------
 
-ReliablePhase::ReliablePhase(protocol::Phase& inner)
-    : inner_(&inner), name_(std::string(inner.name()) + "+rel") {}
+namespace {
+
+/// Runs one transport pass with its wall-clock accounted as retransmit
+/// time and recorded as a span on the outer network's tracer.
+template <typename F>
+void timed_pass(Network& outer, const char* span, F&& pass) {
+  const std::int64_t t0 = obs::monotonic_ns();
+  pass();
+  const std::int64_t t1 = obs::monotonic_ns();
+  outer.account_retransmit_seconds(static_cast<double>(t1 - t0) * 1e-9);
+  if (outer.tracer() != nullptr) outer.tracer()->record(0, span, t0, t1);
+}
+
+}  // namespace
+
+ReliablePhase::ReliablePhase(protocol::Phase& inner) { wrap(inner); }
 
 ReliablePhase::~ReliablePhase() = default;
+
+void ReliablePhase::wrap(protocol::Phase& inner) {
+  inner_ = &inner;
+  name_ = std::string(inner.name()) + "+rel";
+}
 
 void ReliablePhase::publish(Network& net, protocol::PhaseContext& ctx) {
   // The wrapped phase's world is the virtual network, not the physical
@@ -405,7 +460,13 @@ void ReliablePhase::publish(Network& net, protocol::PhaseContext& ctx) {
 
 void ReliablePhase::initialize(Network& outer) {
   inner_finished_ = false;
-  vnet_ = std::make_unique<ReliableNetwork>(outer);
+  if (vnet_ != nullptr &&
+      &vnet_->weighted_graph() == &outer.weighted_graph() &&
+      vnet_->config() == algo_config(outer)) {
+    vnet_->reset_for_reuse();
+  } else {
+    vnet_ = std::make_unique<ReliableNetwork>(outer);
+  }
   // Virtual round 0: the wrapped algorithm's initialize, captured. The
   // finished check mirrors the clean driver loop (checked after
   // initialize, before any flip) so a phase that is done at round 0
@@ -413,50 +474,29 @@ void ReliablePhase::initialize(Network& outer) {
   inner_->initialize(*vnet_);
   if (inner_->finished(*vnet_)) {
     inner_finished_ = true;
-    vnet_->abandon_outstanding();
     return;
   }
-  vnet_->close_virtual_round();
-  {
-    // First physical transmissions (round 0). The passes run outside the
-    // Network's own seams, so their wall-clock is accounted explicitly
-    // (retransmit is a sub-interval of the round's compute time).
-    const std::int64_t t0 = obs::monotonic_ns();
-    vnet_->transmit_pass(outer);
-    const std::int64_t t1 = obs::monotonic_ns();
-    outer.account_retransmit_seconds(static_cast<double>(t1 - t0) * 1e-9);
-    if (outer.tracer() != nullptr)
-      outer.tracer()->record(0, "rel:xmit", t0, t1);
-  }
+  // First physical transmissions (round 0).
+  timed_pass(outer, "rel:xmit",
+             [&] { vnet_->transmit_pass(outer, /*close_round=*/true); });
 }
 
 void ReliablePhase::process_round(Network& outer) {
-  {
-    const std::int64_t t0 = obs::monotonic_ns();
-    vnet_->receive_pass(outer);
-    const std::int64_t t1 = obs::monotonic_ns();
-    outer.account_retransmit_seconds(static_cast<double>(t1 - t0) * 1e-9);
-    if (outer.tracer() != nullptr)
-      outer.tracer()->record(0, "rel:recv", t0, t1);
-  }
-  if (!inner_finished_ && vnet_->virtual_round_complete()) {
+  timed_pass(outer, "rel:recv", [&] { vnet_->receive_pass(outer); });
+  const bool advance = vnet_->virtual_round_complete();
+  if (advance) {
     vnet_->deliver_and_flip();
     inner_->process_round(*vnet_);
     if (inner_->finished(*vnet_)) {
+      // Whatever is still captured or in flight dies with the phase,
+      // exactly as a clean run drops the final round's undelivered
+      // out-arena records.
       inner_finished_ = true;
-      vnet_->abandon_outstanding();
       return;
     }
-    vnet_->close_virtual_round();
   }
-  {
-    const std::int64_t t0 = obs::monotonic_ns();
-    vnet_->transmit_pass(outer);
-    const std::int64_t t1 = obs::monotonic_ns();
-    outer.account_retransmit_seconds(static_cast<double>(t1 - t0) * 1e-9);
-    if (outer.tracer() != nullptr)
-      outer.tracer()->record(0, "rel:xmit", t0, t1);
-  }
+  timed_pass(outer, "rel:xmit",
+             [&] { vnet_->transmit_pass(outer, /*close_round=*/advance); });
 }
 
 bool ReliablePhase::finished(const Network& outer) const {

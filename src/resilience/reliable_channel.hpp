@@ -15,28 +15,61 @@
 //     ShardedNetwork/FaultyNetwork) and owns a private *staging* engine —
 //     a plain Network in shard-member mode over the full node range —
 //     whose arenas hold exactly the messages of the current VIRTUAL
-//     round. The algorithm's sends are captured into per-out-arc unit
-//     queues instead of hitting the wire; inbox/rng/arm delegate to the
-//     staging engine. The virtual network enforces the ORIGINAL message
-//     cap and exposes the original round counter, so the algorithm's
-//     observable world is bit-identical to a clean run.
+//     round. The algorithm's sends are wire-encoded once, at capture,
+//     into per-link unit rings instead of hitting the wire; inbox/rng/arm
+//     delegate to the staging engine. The virtual network enforces the
+//     ORIGINAL message cap and exposes the original round counter, so
+//     the algorithm's observable world is bit-identical to a clean run.
 //
 //   * ReliablePhase: the Phase wrapper (`reliable(phase)`) driven by the
 //     OUTER (physical, possibly faulty) network. Each physical round it
 //     (1) receives transport frames from the outer inbox — dedup by
-//     per-arc sequence number, buffer out-of-order arrivals, apply
-//     cumulative acks; (2) when every arc has closed the next virtual
-//     round (seen its end-of-round MARKER in order), deposits that
-//     round's payloads into the staging engine in canonical per-lane seq
-//     order, flips it, and runs the wrapped algorithm's next
-//     process_round; (3) transmits due units — DATA frames carrying
-//     (seq, piggybacked cumulative ack, marker flag, payload fields) —
-//     plus standalone ACK frames where a delivery consumed something but
-//     no reverse DATA is flying.
+//     per-link sequence number, buffer out-of-order arrivals, apply
+//     cumulative acks; every payload consumed in order is stripped of
+//     its transport header and deposited straight into the staging
+//     engine's out-arena (a deposit_wire copy of exactly the record a
+//     clean send writes), and every consumed round marker bumps the
+//     ready-link count; (2) when every link has closed the current
+//     virtual round, flips the staging engine and runs the wrapped
+//     algorithm's next process_round; (3) transmits due units plus
+//     standalone ACK frames where a delivery consumed something but no
+//     reverse DATA is flying.
 //
-// Retransmission: each unit carries a per-arc deadline (`next_tx`); an
-// arc-level `next_due` minimum lets the per-round scan skip quiet arcs.
-// The backoff schedule is the pure function
+// Storage: one Link per (node, neighbor) pair, indexed by the node's CSR
+// arc, holds both directions' state. The sender side is a flat word ring
+// of unit records — a control word (retransmit deadline, attempt,
+// marker/payload flags) followed by the payload's wire record — popped
+// by cumulative acks and compacted in place, so its capacity survives
+// across rounds; ReliablePhase keeps one ReliableNetwork for every phase
+// it wraps over the same outer network, so capacity survives phases too.
+//
+// Frame layout (tags 14/15, header widths paid for by the cap headroom):
+//
+//   DATA  (tag, seq, cumulative ack, marker flag, payload fields...)
+//   ACK   (tag, cumulative ack)
+//
+// The end-of-round marker rides on the last unit an arc carries in a
+// virtual round when that unit has at least one payload field; only an
+// arc that carried nothing that round (or whose last send was a
+// zero-field message, which a bare 4-field frame could not tell apart
+// from a marker) gets a standalone marker frame (4 fields, flag set).
+// At zero faults every link therefore moves one frame per virtual round
+// and each virtual round takes one physical round; acks ride the next
+// round's reverse DATA.
+//
+// Sparse passes: a physical round that does not close a virtual round
+// visits only the outer active set — nodes with inbox frames (and so
+// possibly acks to send) plus nodes whose earliest retransmit deadline
+// fell due, which the transmit pass arms through outer.arm_at. A round
+// that closes a virtual round re-visits every node, since each link
+// then carries new units or a marker. Receive-side deposits run on the
+// worker that owns the node in the uniform for_nodes split, so every
+// staging lane keeps a single writer across the physical rounds of a
+// virtual round.
+//
+// Retransmission: each unit carries its own deadline; a link-level
+// `next_due` minimum lets the transmit scan skip quiet links. The
+// backoff schedule is the pure function
 //
 //   gap(arc, seq, attempt) = 2 + 2^min(attempt,5)
 //                              + mix64(arc, seq, attempt) % 2^min(attempt,5)
@@ -57,8 +90,8 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -76,8 +109,9 @@ std::int64_t retransmit_gap(std::uint32_t arc, std::uint32_t seq,
                             std::uint8_t attempt);
 
 /// The virtual network a reliable()-wrapped algorithm runs on. Public
-/// surface is the unchanged Network API; construction is per wrapped
-/// phase (ReliablePhase::initialize builds one over the outer network).
+/// surface is the unchanged Network API. ReliablePhase::initialize
+/// builds one over the outer network and resets it for every later
+/// phase it wraps over the same network.
 class ReliableNetwork final : public Network {
  public:
   explicit ReliableNetwork(const Network& outer);
@@ -100,41 +134,32 @@ class ReliableNetwork final : public Network {
  private:
   friend class ReliablePhase;
 
-  /// One captured send (or round marker) awaiting reliable delivery.
-  struct OutUnit {
-    Message msg;             // empty for a marker
-    std::int64_t next_tx = 0;
-    std::uint8_t attempt = 0;
-    bool marker = false;
-  };
-  /// Sender-side state of one arc; single writer = the arc's tail node.
-  struct OutArc {
-    std::deque<OutUnit> units;    // units[i] has seq base_seq + i
-    std::uint32_t base_seq = 0;   // acked prefix is popped, so this > 0
+  /// Both directions of one (node v, neighbor u) pair, indexed by v's
+  /// CSR arc to u. The sender half (v -> u) is written only by v; the
+  /// receiver half (u -> v) only by v as well, so every pass touching a
+  /// node's links is race-free.
+  struct Link {
+    // Sender side. `ring` holds the unacked units, oldest first from
+    // word `head`: a control word (see the kUnit* constants in the .cpp)
+    // followed by the payload's wire record (absent for a standalone
+    // marker).
+    std::vector<std::uint64_t> ring;
+    std::uint32_t head = 0;       // word offset of unit base_seq
+    std::uint32_t last = 0;       // word offset of the newest unit
+    std::uint32_t base_seq = 0;   // seq of the oldest unacked unit
     std::uint32_t next_seq = 0;   // seq of the next captured unit
-    std::uint32_t acked = 0;      // all seq < acked are acknowledged
-    std::int64_t next_due = 0;    // min next_tx over in-flight units
+    std::uint32_t round_seq = 0;  // first seq of the open virtual round
+    std::int64_t next_due = 0;    // min deadline over the unacked units
     std::int64_t last_data_tx = -1;  // physical round of the last DATA send
-  };
-  /// One buffered out-of-order arrival.
-  struct BufUnit {
-    std::uint32_t seq;
-    bool marker;
-    Message msg;
-  };
-  /// One in-order payload awaiting its virtual round's global delivery.
-  struct PendingMsg {
-    std::int64_t vround;
-    Message msg;
-  };
-  /// Receiver-side state of one arc; single writer = the arc's head node.
-  struct InArc {
-    std::uint32_t next = 0;        // next expected seq == cumulative ack
-    std::int64_t rounds_done = 0;  // markers consumed in order
-    std::vector<BufUnit> buffer;
-    std::vector<PendingMsg> pending;
-    std::size_t pending_head = 0;
+    // Receiver side: next expected seq (== the cumulative ack), and the
+    // out-of-order arrivals — per record a control word (seq + flags)
+    // followed by the stripped payload record.
+    std::uint32_t next = 0;
     bool ack_due = false;
+    std::vector<std::uint64_t> held;
+
+    /// Pops every unit below the cumulative ack `ack`.
+    void pop_acked(std::int64_t ack);
   };
 
   // Seam overrides (the virtual network is never driven through
@@ -146,39 +171,49 @@ class ReliableNetwork final : public Network {
   void rebuild_active_set() override;
   void shrink_scratch() override;
 
-  /// Capture one algorithm send (or marker) on receiver-side arc glane.
-  void enqueue_unit(std::uint32_t glane, const Message& m, bool marker);
-  /// Appends the end-of-round marker on every arc (one per out-arc per
-  /// virtual round; the frame contract receivers count rounds by).
-  void close_virtual_round();
-  /// True when every arc has closed virtual round delivered_rounds()
-  /// (recomputed by the last receive_pass).
+  /// Appends a unit to link q's ring: a captured payload (already
+  /// wire-encoded) or, with nwords == 0, a standalone marker.
+  void push_unit(std::size_t q, std::uint64_t ctl,
+                 const std::uint64_t* payload, std::size_t nwords);
+  /// True when every link has closed virtual round delivered_rounds().
   bool virtual_round_complete() const;
-  /// Deposits the completed virtual round's payloads into the staging
-  /// engine in canonical per-lane seq order and flips it.
+  /// Flips the staging engine (whose out-arena already holds the
+  /// completed virtual round's payloads) and advances the virtual round.
   void deliver_and_flip();
-  /// Drops every captured-but-undelivered unit (wrapped phase finished;
-  /// whatever is still in flight dies with the phase).
-  void abandon_outstanding();
 
-  /// Physical receive: consume the outer inbox — dedup, reorder-buffer,
-  /// acks, marker counting. Also recounts ready arcs for
-  /// virtual_round_complete().
+  /// Runs fn(v, w) for every listed node (ascending), where w is the
+  /// worker owning v in the uniform for_nodes split, one block per
+  /// worker on the pool.
+  void for_listed_nodes(std::span<const NodeId> nodes,
+                        FunctionRef<void(NodeId, std::size_t)> fn);
+  /// Physical receive over the nodes with inbox frames.
   void receive_pass(Network& outer);
-  /// Physical transmit: due DATA units + standalone ACKs.
-  void transmit_pass(Network& outer);
+  /// Physical transmit. `close_round`: the wrapped algorithm just ended a
+  /// virtual round, so every node closes its links (marker on the last
+  /// unit, or a standalone one) and transmits; otherwise only the outer
+  /// active set is visited.
+  void transmit_pass(Network& outer, bool close_round);
 
-  void receive_frame(NodeId v, const MessageView& mv);
-  void transmit_unit(Network& outer, NodeId sender, NodeId receiver,
-                     std::uint32_t glane, std::uint32_t seq, OutUnit& unit);
+  void receive_node(Network& outer, NodeId v, std::size_t w);
+  /// Takes the in-order arrival `ctl` (+ stripped payload) on link q:
+  /// the payload goes into the staging lane, a marker closes the link.
+  void consume(std::size_t q, std::size_t w, std::uint64_t ctl,
+               const std::uint64_t* payload, std::size_t nwords);
+  /// Consumes the held arrivals on link q that are now in order.
+  void drain_held(std::size_t q, std::size_t w);
+  void close_links(NodeId v);
+  void transmit_node(Network& outer, NodeId v, std::int64_t now);
+  /// Sends the DATA frame of `unit` (seq on v's link q to u) and
+  /// advances its attempt; returns its next retransmit deadline.
+  std::int64_t send_data(Network& outer, NodeId v, NodeId u, std::size_t q,
+                         std::uint32_t seq, std::uint64_t* unit,
+                         std::int64_t now);
 
   std::unique_ptr<Network> staging_;
-  std::vector<OutArc> out_;
-  std::vector<InArc> in_;
-  /// Per-worker tally of arcs that already closed virtual round
-  /// delivered_ (reduced against the arc count by
-  /// virtual_round_complete()).
-  std::vector<WorkerCounter> ready_arcs_;
+  std::vector<Link> links_;
+  /// Per-worker count of links whose marker for the open virtual round
+  /// was consumed; they sum to the link count when the round is closed.
+  std::vector<WorkerCounter> ready_links_;
   std::int64_t delivered_ = 0;
   std::int64_t seq_limit_ = 0;  // 2^level_bits, the transport seq ceiling
 };
@@ -192,6 +227,11 @@ class ReliablePhase final : public protocol::Phase {
   explicit ReliablePhase(protocol::Phase& inner);
   ~ReliablePhase() override;
 
+  /// Re-targets the adapter at another phase. The virtual network (and
+  /// the capacity its rings and arenas grew) is kept for the next
+  /// initialize over the same outer network.
+  void wrap(protocol::Phase& inner);
+
   std::string_view name() const override { return name_; }
   void bind(protocol::PhaseContext& ctx) override { inner_->bind(ctx); }
   void publish(Network& net, protocol::PhaseContext& ctx) override;
@@ -201,7 +241,7 @@ class ReliablePhase final : public protocol::Phase {
   bool finished(const Network& outer) const override;
 
  private:
-  protocol::Phase* inner_;
+  protocol::Phase* inner_ = nullptr;
   std::string name_;
   std::unique_ptr<ReliableNetwork> vnet_;
   bool inner_finished_ = false;

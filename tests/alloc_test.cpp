@@ -10,6 +10,11 @@
 // exists to provide; any new heap traffic on the delivery path fails here
 // deterministically.
 //
+// The reliable transport holds the same contract: a flood wrapped in
+// resilience::reliable(...) on a zero-fault Network allocates nothing per
+// physical round once its unit rings, reorder scratch and the outer
+// network's timer buckets have grown.
+//
 // The same hook additionally watches allocations of one exact size (the
 // message arenas) to pin the protocol engine's reuse contract: a composed
 // two-phase solver on one Network constructs arena storage exactly once —
@@ -26,6 +31,8 @@
 #include "core/solvers.hpp"
 #include "gen/arboricity_families.hpp"
 #include "gen/classic.hpp"
+#include "protocol/phase.hpp"
+#include "resilience/reliable_channel.hpp"
 #include "shard/sharded_network.hpp"
 
 namespace {
@@ -85,14 +92,17 @@ namespace {
 
 // Every node floods a (tag, id, real) record each round, reads its whole
 // inbox through the cursor, and re-arms itself — exercising send, encode,
-// delivery, active-set rebuild and the armed path together.
-class FloodProbe final : public DistributedAlgorithm {
+// delivery, active-set rebuild and the armed path together. A Phase, so
+// the reliable-transport adapter can wrap it.
+class FloodProbe final : public protocol::Phase {
  public:
   // Warm-up must cover one full cycle of the 16-slot timer ring (each
   // bucket's first use allocates its node vector) plus the arena/touched
   // capacity growth of the first rounds.
   static constexpr std::int64_t kWarmupRounds = 20;
   static constexpr std::int64_t kMeasuredRounds = 12;
+
+  std::string_view name() const override { return "flood"; }
 
   std::uint64_t allocs_at_start = 0;
   std::uint64_t allocs_at_end = 0;
@@ -188,6 +198,35 @@ TEST(AllocRegression, TracedSteadyStateRoundsAllocateNothingSerial) {
 
 TEST(AllocRegression, TracedShardedSteadyStateRoundsAllocateNothingParallel) {
   expect_zero_steady_state_allocs(4, /*shards=*/3, /*traced=*/true);
+}
+
+// Reliable transport on a zero-fault Network: the virtual rounds of the
+// measured window each take one physical round, so the window covers
+// receive pass, staging flip, capture, close and transmit pass alike.
+void expect_zero_steady_state_allocs_reliable(int threads) {
+  auto wg = WeightedGraph::uniform(gen::grid(48, 48));
+  CongestConfig cfg;
+  cfg.threads = threads;
+  cfg.reliable_transport = true;
+  Network net(wg, cfg);
+  FloodProbe probe;
+  probe.prepare(wg.num_nodes());
+  resilience::ReliablePhase wrapped = resilience::reliable(probe);
+  const RunStats stats = net.run(wrapped, 1000);
+  EXPECT_EQ(stats.rounds,
+            FloodProbe::kWarmupRounds + FloodProbe::kMeasuredRounds);
+  EXPECT_GT(stats.messages, 0);
+  ASSERT_GT(probe.allocs_at_start, 0u);
+  EXPECT_EQ(probe.allocs_at_end - probe.allocs_at_start, 0u)
+      << "steady-state reliable rounds allocated (threads=" << threads << ")";
+}
+
+TEST(AllocRegression, ReliableSteadyStateRoundsAllocateNothingSerial) {
+  expect_zero_steady_state_allocs_reliable(1);
+}
+
+TEST(AllocRegression, ReliableSteadyStateRoundsAllocateNothingParallel) {
+  expect_zero_steady_state_allocs_reliable(4);
 }
 
 // The composed Theorem 1.2 pipeline (partial_ds + extension) used to

@@ -15,11 +15,13 @@
 
 #include <cstdlib>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "common/check.hpp"
+#include "common/random.hpp"
 #include "fault/fault_plan.hpp"
 #include "fault/faulty_network.hpp"
 #include "gen/classic.hpp"
@@ -27,6 +29,7 @@
 #include "harness/oracle.hpp"
 #include "harness/registry.hpp"
 #include "harness/scenario.hpp"
+#include "protocol/phase.hpp"
 #include "resilience/reliable_channel.hpp"
 #include "resilience/repair.hpp"
 
@@ -148,6 +151,230 @@ TEST(ReliableChannel, ZeroFaultReliableRunStillMatchesCleanOutput) {
   Network wrapped(inst.wg, cfg);
   const MdsResult res = info.run_on(wrapped, params);
   EXPECT_TRUE(outputs_identical(reference, res));
+}
+
+// ------------------------------------------------------- frame layout
+
+// Records, per virtual round and node, a running digest of the inbox:
+// every record's sender, field count and level field, in inbox order.
+// Each round node v sends every neighbor the records its Mix names —
+// tagged ones carrying (v, level) and/or a zero-field one — so the
+// digests of two runs agree iff every record arrived exactly once, in
+// the same round, in the same order.
+class EchoProbe final : public protocol::Phase {
+ public:
+  enum class Mix {
+    kTagged,           // one tagged record per arc per round
+    kTwoTagged,        // two tagged records per arc per round
+    kTaggedThenEmpty,  // tagged then zero-field (zero-field only if r even)
+  };
+  EchoProbe(Mix mix, int rounds) : mix_(mix), rounds_(rounds) {}
+
+  std::vector<std::vector<std::uint64_t>> digest_;  // [round][node]
+
+  std::string_view name() const override { return "echo"; }
+
+  void initialize(Network& net) override {
+    digest_.assign(static_cast<std::size_t>(rounds_) + 1,
+                   std::vector<std::uint64_t>(net.num_nodes(), 0));
+    send_all(net);
+  }
+
+  void process_round(Network& net) override {
+    const auto r = static_cast<std::size_t>(net.current_round());
+    for (NodeId v = 0; v < net.num_nodes(); ++v) {
+      std::uint64_t h = 0;
+      for (const MessageView mv : net.inbox(v)) {
+        const std::uint64_t level =
+            mv.num_fields() > 1 ? static_cast<std::uint64_t>(mv.level_at(2))
+                                : 0;
+        h = mix64(h ^ (static_cast<std::uint64_t>(mv.sender()) << 32) ^
+                  (static_cast<std::uint64_t>(mv.num_fields()) << 24) ^ level);
+      }
+      digest_[r][v] = h;
+    }
+    send_all(net);
+  }
+
+  bool finished(const Network& net) const override {
+    return net.current_round() >= rounds_;
+  }
+
+  /// Records one arc carries in virtual round r.
+  int records_per_arc(std::int64_t r) const {
+    if (mix_ == Mix::kTagged) return 1;
+    if (mix_ == Mix::kTwoTagged) return 2;
+    return r % 2 == 0 ? 1 : 2;
+  }
+
+ private:
+  void send_all(Network& net) {
+    const std::int64_t r = net.current_round();
+    for (NodeId v = 0; v < net.num_nodes(); ++v) {
+      if (mix_ != Mix::kTaggedThenEmpty || r % 2 == 1)
+        net.broadcast(v, Message::tagged(1).add_id(v).add_level(2 * r));
+      if (mix_ == Mix::kTwoTagged)
+        net.broadcast(v, Message::tagged(1).add_id(v).add_level(2 * r + 1));
+      if (mix_ == Mix::kTaggedThenEmpty) net.broadcast(v, Message{});
+    }
+  }
+
+  Mix mix_;
+  int rounds_;
+};
+
+TEST(ReliableChannel, ZeroFaultFloodSendsOneFramePerArcPerVirtualRound) {
+  // The marker and the ack both ride on DATA: at zero faults every arc
+  // moves exactly one frame per virtual round, and every virtual round
+  // takes exactly one physical round.
+  const auto wg = WeightedGraph::uniform(gen::grid(8, 8));
+  const auto arcs = static_cast<std::int64_t>(2 * wg.graph().num_edges());
+  constexpr int kRounds = 12;
+  EchoProbe clean_probe(EchoProbe::Mix::kTagged, kRounds);
+  Network clean(wg);
+  clean.run(clean_probe);
+
+  CongestConfig cfg;
+  cfg.reliable_transport = true;
+  Network net(wg, cfg);
+  EchoProbe probe(EchoProbe::Mix::kTagged, kRounds);
+  resilience::ReliablePhase wrapped = reliable(probe);
+  const RunStats stats = net.run(wrapped);
+  EXPECT_EQ(probe.digest_, clean_probe.digest_);
+  EXPECT_EQ(stats.rounds, kRounds);
+  // Virtual rounds 0..kRounds-1 are transmitted; the final round's sends
+  // die with the phase, as a clean run's undelivered records do.
+  EXPECT_EQ(stats.messages, kRounds * arcs);
+}
+
+TEST(ReliableChannel, ReorderedOrDuplicatedMarkerFrameDeliversItsPayloadFirst) {
+  // Each arc carries two payloads per round, the second with the round's
+  // marker riding on it. When that frame is duplicated, delayed or
+  // lane-diverted ahead of the first, the receiver must hold it, deliver
+  // both payloads exactly once and in order, and only then close the
+  // round.
+  const auto wg = WeightedGraph::uniform(gen::grid(8, 8));
+  constexpr int kRounds = 16;
+  EchoProbe clean_probe(EchoProbe::Mix::kTwoTagged, kRounds);
+  Network clean(wg);
+  clean.run(clean_probe);
+
+  for (const int threads : {1, test_thread_width()}) {
+    CongestConfig cfg;
+    cfg.threads = threads;
+    cfg.reliable_transport = true;
+    cfg.fault.duplicate_prob = 0.3;
+    cfg.fault.reorder_prob = 0.3;
+    cfg.fault.delay_prob = 0.2;
+    cfg.fault.max_delay_rounds = 2;
+    const std::unique_ptr<Network> net = fault::make_network(wg, cfg);
+    EchoProbe probe(EchoProbe::Mix::kTwoTagged, kRounds);
+    resilience::ReliablePhase wrapped = reliable(probe);
+    const RunStats stats = net->run(wrapped, 10'000);
+    EXPECT_FALSE(stats.hit_round_limit);
+    EXPECT_GT(stats.duplicated, 0);
+    EXPECT_EQ(probe.digest_, clean_probe.digest_) << "threads=" << threads;
+  }
+}
+
+TEST(ReliableChannel, ZeroFieldSendBeforeRoundEndIsNotAMarker) {
+  // A zero-field record is a bare 4-field DATA frame, which with the
+  // marker flag set would read as a pure marker. So when a round's last
+  // send is zero-field the marker travels on its own frame, and the
+  // empty record still arrives.
+  const auto wg = WeightedGraph::uniform(gen::grid(6, 6));
+  const auto arcs = static_cast<std::int64_t>(2 * wg.graph().num_edges());
+  constexpr int kRounds = 10;
+  EchoProbe clean_probe(EchoProbe::Mix::kTaggedThenEmpty, kRounds);
+  Network clean(wg);
+  clean.run(clean_probe);
+
+  CongestConfig cfg;
+  cfg.reliable_transport = true;
+  {
+    Network net(wg, cfg);
+    EchoProbe probe(EchoProbe::Mix::kTaggedThenEmpty, kRounds);
+    resilience::ReliablePhase wrapped = reliable(probe);
+    const RunStats stats = net.run(wrapped);
+    EXPECT_EQ(probe.digest_, clean_probe.digest_);
+    EXPECT_EQ(stats.rounds, kRounds);
+    std::int64_t frames = 0;
+    for (std::int64_t r = 0; r < kRounds; ++r)
+      frames += (probe.records_per_arc(r) + 1) * arcs;  // + the marker
+    EXPECT_EQ(stats.messages, frames);
+  }
+  cfg.fault.drop_prob = 0.1;
+  cfg.fault.duplicate_prob = 0.2;
+  cfg.fault.reorder_prob = 0.2;
+  const std::unique_ptr<Network> net = fault::make_network(wg, cfg);
+  EchoProbe probe(EchoProbe::Mix::kTaggedThenEmpty, kRounds);
+  resilience::ReliablePhase wrapped = reliable(probe);
+  const RunStats stats = net->run(wrapped, 10'000);
+  EXPECT_FALSE(stats.hit_round_limit);
+  EXPECT_EQ(probe.digest_, clean_probe.digest_);
+}
+
+TEST(ReliableChannel, PhysicalStatsAreBitIdenticalAcrossWidthsAndShards) {
+  // The transport's own traffic is deterministic too: frames, rounds,
+  // bits and fault counters match at every pool width and shard count.
+  // The grid is large enough for the receive/transmit passes to run both
+  // inline (quiet waiting rounds) and on the pool (dense rounds).
+  const auto wg = WeightedGraph::uniform(gen::grid(40, 40));
+  constexpr int kRounds = 16;
+  EchoProbe clean_probe(EchoProbe::Mix::kTagged, kRounds);
+  Network clean(wg);
+  clean.run(clean_probe);
+
+  CongestConfig lossy;
+  lossy.reliable_transport = true;
+  lossy.fault.drop_prob = 0.05;
+  lossy.fault.duplicate_prob = 0.1;
+  lossy.fault.reorder_prob = 0.1;
+  lossy.fault.delay_prob = 0.1;
+  lossy.fault.max_delay_rounds = 2;
+  std::optional<RunStats> reference;
+  for (const int threads : {1, 2, test_thread_width()}) {
+    for (const int shards : {1, 3}) {
+      CongestConfig cfg = lossy;
+      cfg.threads = threads;
+      cfg.shards = shards;
+      const std::unique_ptr<Network> net = fault::make_network(wg, cfg);
+      EchoProbe probe(EchoProbe::Mix::kTagged, kRounds);
+      resilience::ReliablePhase wrapped = reliable(probe);
+      const RunStats stats = net->run(wrapped, 10'000);
+      EXPECT_FALSE(stats.hit_round_limit);
+      EXPECT_EQ(probe.digest_, clean_probe.digest_)
+          << "threads=" << threads << " shards=" << shards;
+      if (!reference) reference = stats;
+      EXPECT_EQ(stats, *reference)
+          << "threads=" << threads << " shards=" << shards;
+    }
+  }
+  EXPECT_GT(reference->dropped, 0);
+  EXPECT_GT(reference->rounds, kRounds);
+
+  // And so is every registry solver's physical RunStats.
+  const auto corpus = harness::small_corpus(21);
+  const auto& inst = corpus.front();
+  for (const harness::SolverInfo& info : harness::all_solvers()) {
+    if (!harness::solver_applicable(info, inst)) continue;
+    harness::SolverParams params = harness::params_for(info, inst);
+    params.threads = -1;
+    params.shards = -1;
+    std::optional<RunStats> first;
+    for (const int threads : {1, test_thread_width()}) {
+      for (const int shards : {1, 2}) {
+        CongestConfig cfg = lossy;
+        cfg.threads = threads;
+        cfg.shards = shards;
+        const std::unique_ptr<Network> net = fault::make_network(inst.wg, cfg);
+        const MdsResult res = info.run_on(*net, params);
+        if (!first) first = res.stats;
+        EXPECT_EQ(res.stats, *first) << info.name << " at threads=" << threads
+                                     << " shards=" << shards;
+      }
+    }
+  }
 }
 
 // ----------------------------------------- kill_round = 1 boundary pin
