@@ -19,23 +19,25 @@
 //              determinism audit.
 //
 //   exp14_selfhealing [--solvers name1,...] [--levels none,light,...]
-//                     [--threads W1,...] [--shards K1,...]
-//                     [--seeds S1,...] [--repeats N]
+//                     [--threads W1,...] [--seeds S1,...] [--repeats N]
 //                     [--round-limit R] [--rel-round-limit R] [--smoke]
 //
 // stdout: one JSON object per row (schema v5 — hit_round_limit and the
 // repair columns join the v4 fields), ready for CI artifact upload.
 // stderr: the per-(solver, level) envelope table. Exits 1 on a
 // determinism violation or a reliable-run output mismatch.
-#include <cstring>
+#include <cstdint>
+#include <cstdlib>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "bench_util.hpp"
 #include "common/table.hpp"
-#include "fault/fault_spec.hpp"
 #include "harness/corpus.hpp"
 #include "harness/scenario.hpp"
 
@@ -43,70 +45,11 @@ using namespace arbods;
 
 namespace {
 
-std::vector<std::string> split_list(const std::string& csv) {
-  std::vector<std::string> out;
-  std::stringstream ss(csv);
-  std::string item;
-  while (std::getline(ss, item, ','))
-    if (!item.empty()) out.push_back(item);
-  return out;
-}
-
-std::vector<int> split_ints(const std::string& csv) {
-  std::vector<int> out;
-  for (const std::string& s : split_list(csv)) out.push_back(std::stoi(s));
-  return out;
-}
-
-std::vector<std::uint64_t> split_u64s(const std::string& csv) {
-  std::vector<std::uint64_t> out;
-  for (const std::string& s : split_list(csv)) out.push_back(std::stoull(s));
-  return out;
-}
-
-/// exp13's escalation ladder, byte-for-byte — the two experiments must
-/// measure the same adversary.
-harness::ScenarioFault named_level(const std::string& name) {
-  harness::ScenarioFault level;
-  level.label = name;
-  fault::FaultSpec& s = level.spec;
-  if (name == "none") return level;
-  if (name == "light") {
-    s.drop_prob = 0.01;
-    s.duplicate_prob = 0.01;
-    s.delay_prob = 0.05;
-    s.max_delay_rounds = 2;
-    return level;
-  }
-  if (name == "moderate") {
-    s.drop_prob = 0.05;
-    s.duplicate_prob = 0.05;
-    s.delay_prob = 0.2;
-    s.max_delay_rounds = 3;
-    s.reorder_prob = 0.1;
-    return level;
-  }
-  if (name == "heavy") {
-    s.drop_prob = 0.15;
-    s.duplicate_prob = 0.1;
-    s.delay_prob = 0.3;
-    s.max_delay_rounds = 4;
-    s.reorder_prob = 0.2;
-    s.kill_prob = 0.05;
-    s.kill_round = 3;
-    return level;
-  }
-  std::cerr << "unknown fault level '" << name
-            << "' (known: none, light, moderate, heavy)\n";
-  std::exit(2);
-}
-
 [[noreturn]] void usage() {
   std::cerr << "usage: exp14_selfhealing [--solvers name1,name2,...]\n"
                "                         [--levels none,light,moderate,heavy]\n"
-               "                         [--threads W1,W2,...] [--shards "
-               "K1,K2,...]\n"
-               "                         [--seeds S1,S2,...] [--repeats N]\n"
+               "                         [--threads W1,W2,...] [--seeds "
+               "S1,S2,...] [--repeats N]\n"
                "                         [--round-limit R] "
                "[--rel-round-limit R]\n"
                "                         [--smoke] [--trace-out PATH]\n"
@@ -115,14 +58,11 @@ harness::ScenarioFault named_level(const std::string& name) {
   std::exit(2);
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   std::vector<std::string> solvers = {"det", "randomized", "greedy-threshold"};
   std::vector<std::string> level_names = {"none", "light", "moderate",
                                           "heavy"};
   std::vector<int> threads = {1, 4};
-  std::vector<int> shards = {1, 2};
   std::vector<std::uint64_t> seeds = {12345};
   int repeats = 1;
   std::int64_t round_limit = 2000;
@@ -135,33 +75,25 @@ int main(int argc, char** argv) {
   std::string trace_out;
 
   for (int i = 1; i < argc; ++i) {
-    auto need = [&](const char* what) -> const char* {
-      if (i + 1 >= argc) {
-        std::cerr << "missing value for " << what << "\n";
-        usage();
-      }
-      return argv[++i];
-    };
-    if (!std::strcmp(argv[i], "--solvers")) solvers = split_list(need("--solvers"));
-    else if (!std::strcmp(argv[i], "--levels")) level_names = split_list(need("--levels"));
-    else if (!std::strcmp(argv[i], "--threads")) threads = split_ints(need("--threads"));
-    else if (!std::strcmp(argv[i], "--shards")) shards = split_ints(need("--shards"));
-    else if (!std::strcmp(argv[i], "--seeds")) seeds = split_u64s(need("--seeds"));
-    else if (!std::strcmp(argv[i], "--repeats")) repeats = std::stoi(need("--repeats"));
-    else if (!std::strcmp(argv[i], "--round-limit")) round_limit = std::stoll(need("--round-limit"));
-    else if (!std::strcmp(argv[i], "--rel-round-limit")) rel_round_limit = std::stoll(need("--rel-round-limit"));
-    else if (!std::strcmp(argv[i], "--smoke")) smoke = true;
-    else if (!std::strcmp(argv[i], "--trace-out")) trace_out = need("--trace-out");
+    const std::string flag = argv[i];
+    auto need = [&] { return bench::flag_value(argc, argv, i); };
+    if (flag == "--solvers") solvers = bench::parse_list(flag, need());
+    else if (flag == "--levels") level_names = bench::parse_list(flag, need());
+    else if (flag == "--threads") threads = bench::parse_numbers(flag, need(), 0, kMaxThreads);
+    else if (flag == "--seeds") seeds = bench::parse_numbers<std::uint64_t>(flag, need(), 0, std::numeric_limits<std::uint64_t>::max());
+    else if (flag == "--repeats") repeats = bench::parse_number(flag, need(), 1, 10'000);
+    else if (flag == "--round-limit") round_limit = bench::parse_number<std::int64_t>(flag, need(), 1, std::numeric_limits<std::int64_t>::max());
+    else if (flag == "--rel-round-limit") rel_round_limit = bench::parse_number<std::int64_t>(flag, need(), 1, std::numeric_limits<std::int64_t>::max());
+    else if (flag == "--smoke") smoke = true;
+    else if (flag == "--trace-out") trace_out = need();
     else usage();
   }
-  if (repeats < 1) repeats = 1;
   if (smoke) {
     // CI preset, matching exp13's: small corpus, two solvers, the full
     // ladder, one seed — every column (raw casualty, repair recovery,
     // reliable bit-identity) exercised in seconds.
     solvers = {"det", "greedy-threshold"};
     threads = {1, 4};
-    shards = {1, 2};
   }
 
   std::vector<harness::CorpusInstance> corpus;
@@ -183,9 +115,8 @@ int main(int argc, char** argv) {
   }
   raw_spec.fault_levels.clear();
   for (const std::string& name : level_names)
-    raw_spec.fault_levels.push_back(named_level(name));
+    raw_spec.fault_levels.push_back(bench::named_fault_level(name));
   raw_spec.thread_widths = threads;
-  raw_spec.shard_counts = shards;
   raw_spec.seeds = seeds;
   raw_spec.repeats = repeats;
   raw_spec.base_config.round_limit = round_limit;
@@ -219,12 +150,12 @@ int main(int argc, char** argv) {
   harness::write_scenario_json(std::cout, rows);
 
   // Clean-twin lookup: the "none" weight/rounds of the same
-  // (instance, solver, seed, threads, shards) cell.
+  // (instance, solver, seed, threads) cell.
   std::map<std::string, std::pair<double, double>> clean;
   auto cell_key = [](const harness::ScenarioRow& row) {
     std::ostringstream key;
     key << row.instance << '\x1f' << row.solver << '\x1f' << row.seed
-        << '\x1f' << row.threads << '\x1f' << row.shards;
+        << '\x1f' << row.threads;
     return key.str();
   };
   for (const auto& row : rows)
@@ -233,7 +164,7 @@ int main(int argc, char** argv) {
                               static_cast<double>(row.result.stats.rounds)};
 
   // One envelope row per (solver, fault level), aggregated over
-  // instances, seeds, widths, and shard counts.
+  // instances, seeds, and widths.
   struct Envelope {
     double weight_ratio_sum = 0.0;
     double extra_rounds_sum = 0.0;
@@ -287,8 +218,7 @@ int main(int argc, char** argv) {
     if (!row.identical) {
       std::cerr << "DETERMINISM VIOLATION: " << row.instance << " / "
                 << row.solver << " / " << row.fault
-                << " at threads=" << row.threads << " shards=" << row.shards
-                << "\n";
+                << " at threads=" << row.threads << "\n";
       ++violations;
     }
     // The reliable channel's whole contract: the solver's output under
@@ -309,4 +239,15 @@ int main(int argc, char** argv) {
     }
   }
   return violations > 0 ? 1 : 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return run(argc, argv);
+  } catch (const std::exception& e) {
+    std::cerr << "exp14_selfhealing: error: " << e.what() << "\n";
+    return 2;
+  }
 }

@@ -12,13 +12,7 @@
 //             --seed S
 //             --threads W (simulator worker pool; 0 = all hardware threads,
 //                          default 1; results identical for every W)
-//             --shards K (simulator shard count; default 1 = single-arena
-//                         Network, K > 1 = ShardedNetwork over K shards;
-//                         results identical for every K)
-//             --pin (pin worker threads to CPUs + shard-affine dispatch;
-//                    placement only, results unchanged)
-//             --auto-replan (adopt traffic-refined shard plans at phase
-//                            boundaries; results unchanged)
+//             --trace-out PATH (Chrome trace-event JSON of the run)
 // families:   tree | forest2 | forest5 | grid | planar | ba2 | ba4 | er
 #include <charconv>
 #include <cmath>
@@ -62,8 +56,8 @@ void print_solver_table(std::ostream& os) {
                "grid|planar|ba2|ba4|er --n N)\n"
                "                  [--alpha A] [--eps E] [--t T] [--k K]\n"
                "                  [--weights unit|uniform|powerlaw|degree|"
-               "invdegree] [--seed S] [--threads W] [--shards K]\n"
-               "                  [--pin] [--auto-replan] [--trace-out PATH]\n";
+               "invdegree] [--seed S] [--threads W]\n"
+               "                  [--trace-out PATH]\n";
   print_solver_table(std::cerr);
   std::exit(2);
 }
@@ -97,7 +91,6 @@ double parse_real(const char* flag, const char* text) {
 // Largest --n the generators are asked for; beyond it a typo would only
 // end in an allocation failure.
 constexpr NodeId kMaxNodes = 100'000'000;
-constexpr int kMaxWidth = 4096;
 
 Graph make_graph(const std::string& family, NodeId n, Rng& rng) {
   if (family == "tree") return gen::random_tree_prufer(n, rng);
@@ -135,8 +128,6 @@ int cli_main(int argc, char** argv) {
   harness::SolverParams params;
   params.alpha = 0;  // 0 = measure below
   std::uint64_t seed = 1;
-  bool pin = false;
-  bool auto_replan = false;
   std::string trace_out;
   for (int i = 2; i < argc; ++i) {
     auto need = [&](const char* what) -> const char* {
@@ -157,10 +148,7 @@ int cli_main(int argc, char** argv) {
     else if (!std::strcmp(flag, "--k")) params.k = parse_int(flag, need(flag), std::numeric_limits<int>::min(), std::numeric_limits<int>::max());
     else if (!std::strcmp(flag, "--weights")) weights = need(flag);
     else if (!std::strcmp(flag, "--seed")) seed = parse_int<std::uint64_t>(flag, need(flag), 0, std::numeric_limits<std::uint64_t>::max());
-    else if (!std::strcmp(flag, "--threads")) params.threads = parse_int<int>(flag, need(flag), 0, kMaxWidth);
-    else if (!std::strcmp(flag, "--shards")) params.shards = parse_int<int>(flag, need(flag), 1, kMaxWidth);
-    else if (!std::strcmp(flag, "--pin")) pin = true;
-    else if (!std::strcmp(flag, "--auto-replan")) auto_replan = true;
+    else if (!std::strcmp(flag, "--threads")) params.threads = parse_int<int>(flag, need(flag), 0, kMaxThreads);
     else if (!std::strcmp(flag, "--trace-out")) trace_out = need(flag);
     else usage();
   }
@@ -191,20 +179,18 @@ int cli_main(int argc, char** argv) {
   inst.forest = is_forest(inst.wg.graph());
   harness::ScenarioSpec spec;
   const int width = params.threads >= 0 ? params.threads : 1;
-  // -1 = default (unsharded); the parser already range-checked the rest.
-  const int shard_count = params.shards == -1 ? 1 : params.shards;
   params.threads = -1;
-  params.shards = -1;
   spec.solvers.push_back({std::string(algo), params, std::string(algo)});
   spec.thread_widths = {width};
-  spec.shard_counts = {shard_count};
   spec.seeds = {seed};
   spec.skip_inapplicable = false;
   spec.validate = false;  // validated below with an explicit tolerance
   spec.base_config.seed = seed;
-  spec.base_config.pin_threads = pin;
-  spec.base_config.auto_replan = auto_replan;
+  spec.base_config.threads = width;
   spec.trace_out = trace_out;
+  // A config error is an input error (exit 2 via main's catch), checked
+  // before the run so it is never reported as a solver failure.
+  validate_config(spec.base_config, inst.wg.num_nodes());
 
   const std::vector<const harness::CorpusInstance*> instances = {&inst};
   std::vector<harness::ScenarioRow> rows;
@@ -229,17 +215,13 @@ int cli_main(int argc, char** argv) {
   std::cout << "CONGEST rounds:  " << res.stats.rounds << "\n"
             << "messages:        " << res.stats.messages << "\n"
             << "max msg bits:    " << res.stats.max_message_bits << "\n";
-  if (shard_count > 1)
-    std::cout << "shards:          " << shard_count
-              << " (bit-identical to the unsharded run)\n";
   for (const PhaseStats& phase : res.stats.phases)
     std::cout << "  phase " << phase.name << ": " << phase.rounds
               << " rounds, " << phase.messages << " messages, "
               << phase.total_bits << " bits\n";
   const obs::TimingStats& timing = res.stats.timing;
   std::cout << "timing:          compute " << timing.compute_seconds
-            << "s, flip " << timing.flip_seconds << "s, merge "
-            << timing.merge_seconds << "s, retransmit "
+            << "s, flip " << timing.flip_seconds << "s, retransmit "
             << timing.retransmit_seconds << "s\n";
   if (!trace_out.empty())
     std::cout << "trace:           " << trace_out

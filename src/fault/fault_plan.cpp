@@ -16,7 +16,7 @@ void check_prob(double p, const char* name) {
 
 }  // namespace
 
-FaultPlan make_fault_plan(const Graph& g, const FaultSpec& spec) {
+void validate_fault_spec(const FaultSpec& spec) {
   check_prob(spec.drop_prob, "drop_prob");
   check_prob(spec.duplicate_prob, "duplicate_prob");
   check_prob(spec.delay_prob, "delay_prob");
@@ -29,6 +29,10 @@ FaultPlan make_fault_plan(const Graph& g, const FaultSpec& spec) {
                    "kill_round must be >= 1 (a node can die no earlier than "
                    "the first process_round), got "
                        << spec.kill_round);
+}
+
+FaultPlan make_fault_plan(const Graph& g, const FaultSpec& spec) {
+  validate_fault_spec(spec);
   FaultPlan plan;
   plan.seed = spec.fault_seed;
   plan.drop_prob = spec.drop_prob;

@@ -2,7 +2,7 @@
 // model, embedded in CongestConfig so every harness layer (registry,
 // scenario runner, bench binaries) can request a faulty run without new
 // plumbing. A default-constructed spec is inert: fault::make_network
-// returns the ordinary (sharded or plain) simulator for it, and a
+// returns the plain simulator for it, and a
 // FaultyNetwork built over an all-zero spec is bit-identical to running
 // without the decorator.
 //
@@ -55,5 +55,9 @@ struct FaultSpec {
 
   friend bool operator==(const FaultSpec&, const FaultSpec&) = default;
 };
+
+/// Throws CheckError unless every probability is in [0, 1],
+/// max_delay_rounds >= 0, and kill_round >= 1.
+void validate_fault_spec(const FaultSpec& spec);
 
 }  // namespace arbods::fault

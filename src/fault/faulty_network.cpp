@@ -7,7 +7,6 @@
 
 #include "common/check.hpp"
 #include "common/shrink.hpp"
-#include "shard/sharded_network.hpp"
 
 namespace arbods::fault {
 
@@ -16,21 +15,17 @@ using detail::fault_hash;
 using detail::unit_real;
 
 FaultyNetwork::FaultyNetwork(const WeightedGraph& wg, CongestConfig config)
-    : Network(wg, config, FacadeInit{}),
-      plan_(make_fault_plan(wg.graph(), config.fault)) {
-  init_from_plan(wg, config);
+    : Network(wg, config), plan_(make_fault_plan(wg.graph(), config.fault)) {
+  init_from_plan(wg);
 }
 
 FaultyNetwork::FaultyNetwork(const WeightedGraph& wg, CongestConfig config,
                              FaultPlan plan)
-    : Network(wg, config, FacadeInit{}), plan_(std::move(plan)) {
-  init_from_plan(wg, config);
+    : Network(wg, config), plan_(std::move(plan)) {
+  init_from_plan(wg);
 }
 
-FaultyNetwork::~FaultyNetwork() = default;
-
-void FaultyNetwork::init_from_plan(const WeightedGraph& wg,
-                                   const CongestConfig& config) {
+void FaultyNetwork::init_from_plan(const WeightedGraph& wg) {
   validate_fault_plan(wg.graph(), plan_);
   const NodeId n = wg.graph().num_nodes();
   const std::size_t arcs = mirror_.size();
@@ -47,31 +42,6 @@ void FaultyNetwork::init_from_plan(const WeightedGraph& wg,
       static_cast<std::size_t>(std::max(plan_.max_delay_rounds, 0)) + 2);
   wheels_.resize(worker_stats_.size());
   for (HoldWheel& wheel : wheels_) wheel.ring.resize(ring);
-
-  // The inner delivery engine. Unsharded: a plain Network in shard-member
-  // mode over the full node range — it owns arenas, RNG streams, timers,
-  // and active-set state for every node, sizes its per-worker scratch for
-  // the decorator's pool (whose threads execute the deposits), and owns
-  // no pool of its own. Sharded: a full ShardedNetwork facade; its pool
-  // width matches the decorator's (both derive from config.threads), so
-  // worker slots pass through the deposit seam unchanged.
-  CongestConfig inner_cfg = config;
-  inner_cfg.fault = FaultSpec{};  // the decorator owns the faults
-  // One recorder per decorator stack: the decorator (FacadeInit above)
-  // owns it; the inner engine records into the same rings through the
-  // shared sink installed below.
-  inner_cfg.trace.enabled = false;
-  const int k = std::clamp(config.shards, 1,
-                           std::max<int>(1, static_cast<int>(n)));
-  if (k <= 1) {
-    inner_.reset(new Network(
-        wg, inner_cfg,
-        SliceInit{0, n, static_cast<int>(worker_stats_.size())}));
-  } else {
-    inner_cfg.shards = k;
-    inner_ = std::make_unique<shard::ShardedNetwork>(wg, inner_cfg);
-  }
-  inner_->tracer_ = tracer_;
 }
 
 std::vector<NodeId> FaultyNetwork::killed_nodes() const {
@@ -164,9 +134,9 @@ void FaultyNetwork::inject_record(std::size_t w, NodeId from,
     if (c == 1) ++ws.duplicated;
     if (d > 0) ++ws.delayed;
     if (d == 0 && lane == glane) {
-      // Undisturbed: straight into the inner engine from this worker,
-      // exactly the clean delivery path (bit-identical for a zero plan).
-      inner_->deposit_wire(glane, words, nwords);
+      // Undisturbed: straight into the lane from this worker, exactly
+      // the clean delivery path (bit-identical for a zero plan).
+      deposit_words(w, glane, words, nwords);
     } else {
       hold(w, arrival,
            HeldRec{lane, 0, 0, glane, seq, round_,
@@ -222,9 +192,9 @@ void FaultyNetwork::flip_buffers() {
                                 b.rec->seq, b.rec->copy);
               });
     for (const DrainRef& ref : drain_)
-      inner_->deposit_wire(ref.rec->lane,
-                           ref.bucket->words.data() + ref.rec->begin,
-                           ref.rec->end - ref.rec->begin);
+      deposit_words(worker_slot(), ref.rec->lane,
+                    ref.bucket->words.data() + ref.rec->begin,
+                    ref.rec->end - ref.rec->begin);
     drain_.clear();
     for (HoldWheel& wheel : wheels_) {
       HoldBucket& bucket = wheel.ring[static_cast<std::size_t>(arrival) &
@@ -238,28 +208,14 @@ void FaultyNetwork::flip_buffers() {
       bucket.recs.clear();
     }
   }
-  // The decorator's flip time lands in the outer run_phase's flip
-  // accounting; the inner facade's per-destination merge time accrues in
-  // its OWN stats_.timing, so harvest the delta into ours — the
-  // decorator's stats are the ones the run reports.
-  const double merge_before = inner_->stats_.timing.merge_seconds;
-  inner_->flip_buffers();
-  stats_.timing.merge_seconds +=
-      inner_->stats_.timing.merge_seconds - merge_before;
-  inner_->round_ = round_ + 1;  // lockstep: the caller advances ours next
-  active_dirty_ = true;
-}
-
-std::int64_t FaultyNetwork::pending_spill_records() const {
-  return inner_->pending_spill_records();
+  Network::flip_buffers();
 }
 
 void FaultyNetwork::clear_all_lanes() {
   // Phase/reuse boundary: drop everything in flight (undelivered held
   // records included — statistics counted them at send time, exactly as
   // the clean simulator drops undelivered out-arena records).
-  inner_->round_ = round_;
-  inner_->clear_all_lanes();
+  Network::clear_all_lanes();
   for (HoldWheel& wheel : wheels_) {
     for (HoldBucket& bucket : wheel.ring) {
       wheel.words_highwater =
@@ -271,26 +227,10 @@ void FaultyNetwork::clear_all_lanes() {
     }
   }
   std::fill(seq_round_.begin(), seq_round_.end(), -1);
-  active_list_.clear();
-  active_dirty_ = false;
-}
-
-void FaultyNetwork::reseed_node_rngs() {
-  if (rng_streams_fresh_) return;
-  inner_->rng_streams_fresh_ = false;  // the decorator tracks freshness
-  inner_->reseed_node_rngs();
-  rng_streams_fresh_ = true;
-}
-
-void FaultyNetwork::rebuild_active_set() {
-  active_dirty_ = false;
-  if (inner_->active_dirty_) inner_->rebuild_active_set();
-  active_list_ = inner_->active_list_;
-  active_highwater_ = std::max(active_highwater_, active_list_.size());
 }
 
 void FaultyNetwork::shrink_scratch() {
-  inner_->shrink_scratch();
+  Network::shrink_scratch();
   for (HoldWheel& wheel : wheels_) {
     for (HoldBucket& bucket : wheel.ring) {
       maybe_shrink(bucket.words, wheel.words_highwater);
@@ -300,21 +240,11 @@ void FaultyNetwork::shrink_scratch() {
     wheel.recs_highwater = 0;
   }
   maybe_shrink(drain_, 0);
-  maybe_shrink(active_list_, active_highwater_);
-}
-
-void FaultyNetwork::reset_for_reuse() {
-  inner_->reset_for_reuse();
-  // inner_ restored its image-fresh RNG streams; record that so the
-  // base-class reset (whose virtual reseed call lands on our override)
-  // does not pay a second restore.
-  rng_streams_fresh_ = true;
-  Network::reset_for_reuse();
 }
 
 std::unique_ptr<Network> make_network(const WeightedGraph& wg,
                                       const CongestConfig& config) {
-  if (!config.fault.enabled()) return shard::make_network(wg, config);
+  if (!config.fault.enabled()) return std::make_unique<Network>(wg, config);
   return std::make_unique<FaultyNetwork>(wg, config);
 }
 

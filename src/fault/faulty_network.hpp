@@ -1,12 +1,9 @@
 // FaultyNetwork: an adversarial decorator over the CONGEST simulator.
 //
-// The decorator derives from Network through the same facade seams
-// ShardedNetwork uses, and owns an *inner* delivery engine — a plain
-// Network in shard-member mode (full node range, scratch sized for the
-// decorator's pool) when config.shards <= 1, a ShardedNetwork otherwise.
-// Algorithms, ProtocolRunner phases, and the scenario runner drive the
-// decorator through the unchanged Network surface; inboxes, RNG streams,
-// and timers delegate to the inner engine, while every send/broadcast is
+// The decorator is a full Network (its own arenas, RNG streams, timers,
+// and active set) that overrides the send and per-round seams.
+// Algorithms, ProtocolRunner phases, and the scenario runner drive it
+// through the unchanged Network surface, while every send/broadcast is
 // intercepted:
 //
 //   1. the record is encoded once (CONGEST cap check and bit accounting
@@ -21,8 +18,8 @@
 //      record keeps its true sender id, so only its inbox position —
 //      i.e. the sender-sorted arrival order — changes);
 //   3. an undisturbed copy (d == 0, original lane) deposits straight
-//      into the inner engine through the deposit_wire seam — the same
-//      single-writer lane path as a clean send, from the same worker;
+//      into its lane — the same single-writer path as a clean send,
+//      from the same worker;
 //      disturbed copies park in the calling worker's timer-wheel-backed
 //      holding buffer and are injected at the flip of their arrival
 //      round, after sorting by (lane, send round, origin arc, record
@@ -30,7 +27,7 @@
 //      identical at every pool width.
 //
 // Determinism contract: a fixed FaultPlan yields bit-identical results,
-// traces, and fault counters at every thread width and shard count, and
+// traces, and fault counters at every thread width, and
 // a zero-fault plan is bit-identical to running without the decorator
 // (every record then takes the direct path in send order). Tested in
 // tests/fault_test.cpp against every registry solver.
@@ -52,11 +49,8 @@ class FaultyNetwork final : public Network {
   FaultyNetwork(const WeightedGraph& wg, CongestConfig config);
   /// Runs a caller-built plan (validated against the graph).
   FaultyNetwork(const WeightedGraph& wg, CongestConfig config, FaultPlan plan);
-  ~FaultyNetwork() override;
 
   const FaultPlan& plan() const { return plan_; }
-  /// The inner delivery engine (diagnostics/tests).
-  const Network& inner() const { return *inner_; }
 
   /// True iff v is NOT in the kill schedule. Note the schedule view:
   /// a node with a future kill_round still counts as killed here —
@@ -70,24 +64,8 @@ class FaultyNetwork final : public Network {
   std::vector<NodeId> killed_nodes() const;
 
   // --- Network seams ---
-  Rng& rng(NodeId v) override { return inner_->rng(v); }
   void send(NodeId from, NodeId to, const Message& m) override;
   void broadcast(NodeId from, const Message& m) override;
-  InboxView inbox(NodeId v) const override { return inner_->inbox(v); }
-  void arm_at(NodeId v, std::int64_t round) override {
-    inner_->arm_at(v, round);
-  }
-  std::size_t arena_words() const override { return inner_->arena_words(); }
-  void reset_for_reuse() override;
-  /// Unwraps to the inner sharded engine (nullptr when the decorator
-  /// runs over a plain Network), so phase-boundary auto-replanning and
-  /// harness reporting compose with fault injection. Note the fault
-  /// path delivers via deposit_wire, which bypasses the facade's send
-  /// accounting: under this decorator the traffic profile stays empty
-  /// and measured_plan() reduces to the structural refiner.
-  shard::ShardedNetwork* sharded_core() override {
-    return inner_->sharded_core();
-  }
 
  private:
   /// One disturbed record parked until its arrival round. The sort key
@@ -119,12 +97,9 @@ class FaultyNetwork final : public Network {
 
   void flip_buffers() override;
   void clear_all_lanes() override;
-  void reseed_node_rngs() override;
-  void rebuild_active_set() override;
   void shrink_scratch() override;
-  std::int64_t pending_spill_records() const override;
 
-  void init_from_plan(const WeightedGraph& wg, const CongestConfig& config);
+  void init_from_plan(const WeightedGraph& wg);
   /// The per-record intercept described in the header comment.
   void inject_record(std::size_t w, NodeId from, std::uint32_t glane,
                      std::size_t nwords, int bits);
@@ -135,7 +110,6 @@ class FaultyNetwork final : public Network {
   }
 
   FaultPlan plan_;
-  std::unique_ptr<Network> inner_;
   /// Round each node dies at (INT64_MAX = never), from plan_.kills.
   std::vector<std::int64_t> kill_round_;
   bool any_kills_ = false;
@@ -158,8 +132,8 @@ class FaultyNetwork final : public Network {
 
 /// The construction point the harness layers use: dispatches on
 /// config.fault.enabled() — a FaultyNetwork when faults are requested,
-/// otherwise shard::make_network's plain/sharded simulator. Callers hold
-/// the result as Network& and never learn which they got.
+/// otherwise a plain Network. Callers hold the result as Network& and
+/// never learn which they got.
 std::unique_ptr<Network> make_network(const WeightedGraph& wg,
                                       const CongestConfig& config);
 

@@ -1,7 +1,10 @@
 #include "graph/io.hpp"
 
+#include <algorithm>
+#include <charconv>
 #include <fstream>
 #include <istream>
+#include <limits>
 #include <ostream>
 #include <sstream>
 
@@ -25,10 +28,46 @@ std::string next_token(std::istream& is) {
   return {};
 }
 
-std::uint64_t next_u64(std::istream& is, const char* what) {
-  std::string tok = next_token(is);
+// Parses the next token as an integer in [0, max]. EOF, a sign, any
+// non-digit (e.g. "1x"), and values past `max` throw CheckError naming
+// `what` — never a silent narrowing to a smaller id or count.
+std::uint64_t next_uint(std::istream& is, const char* what,
+                        std::uint64_t max) {
+  const std::string tok = next_token(is);
   ARBODS_CHECK_MSG(!tok.empty(), "unexpected EOF reading " << what);
-  return std::stoull(tok);
+  ARBODS_CHECK_MSG(tok[0] != '-', what << " '" << tok << "' is negative");
+  std::uint64_t value = 0;
+  const char* end = tok.data() + tok.size();
+  const auto [ptr, ec] = std::from_chars(tok.data(), end, value);
+  ARBODS_CHECK_MSG(ec != std::errc::invalid_argument && ptr == end,
+                   what << " '" << tok << "' is not an integer");
+  ARBODS_CHECK_MSG(ec != std::errc::result_out_of_range && value <= max,
+                   what << " '" << tok << "' is out of range (max " << max
+                        << ")");
+  return value;
+}
+
+// The "n m" header and m edge lines; the callers decide what may follow.
+Graph read_edge_list(std::istream& is) {
+  constexpr std::uint64_t kMaxId = std::numeric_limits<NodeId>::max();
+  const auto n = static_cast<NodeId>(next_uint(is, "node count", kMaxId));
+  const std::uint64_t m =
+      next_uint(is, "edge count", std::numeric_limits<std::uint64_t>::max());
+  GraphBuilder b(n);
+  // The header is untrusted: a huge m must fail at EOF, not in reserve.
+  b.reserve_edges(static_cast<std::size_t>(std::min<std::uint64_t>(m, 1 << 20)));
+  for (std::uint64_t i = 0; i < m; ++i) {
+    const auto u = static_cast<NodeId>(next_uint(is, "edge endpoint", kMaxId));
+    const auto v = static_cast<NodeId>(next_uint(is, "edge endpoint", kMaxId));
+    b.add_edge(u, v);  // rejects endpoints >= n and self-loops
+  }
+  return std::move(b).build();
+}
+
+void expect_end(std::istream& is, const char* after) {
+  const std::string tok = next_token(is);
+  ARBODS_CHECK_MSG(tok.empty(), "unexpected token '" << tok << "' after "
+                                                     << after);
 }
 }  // namespace
 
@@ -38,16 +77,9 @@ void write_graph(std::ostream& os, const Graph& g) {
 }
 
 Graph read_graph(std::istream& is) {
-  NodeId n = static_cast<NodeId>(next_u64(is, "node count"));
-  std::size_t m = next_u64(is, "edge count");
-  GraphBuilder b(n);
-  b.reserve_edges(m);
-  for (std::size_t i = 0; i < m; ++i) {
-    NodeId u = static_cast<NodeId>(next_u64(is, "edge endpoint"));
-    NodeId v = static_cast<NodeId>(next_u64(is, "edge endpoint"));
-    b.add_edge(u, v);
-  }
-  return std::move(b).build();
+  Graph g = read_edge_list(is);
+  expect_end(is, "the last edge (the header's edge count is too small)");
+  return g;
 }
 
 void write_weighted_graph(std::ostream& os, const WeightedGraph& wg) {
@@ -57,13 +89,15 @@ void write_weighted_graph(std::ostream& os, const WeightedGraph& wg) {
 }
 
 WeightedGraph read_weighted_graph(std::istream& is) {
-  Graph g = read_graph(is);
+  Graph g = read_edge_list(is);
   std::string marker = next_token(is);
   ARBODS_CHECK_MSG(marker == "weights", "expected 'weights' marker, got '"
                                             << marker << "'");
   std::vector<Weight> w(g.num_nodes());
   for (NodeId v = 0; v < g.num_nodes(); ++v)
-    w[v] = static_cast<Weight>(next_u64(is, "weight"));
+    w[v] = static_cast<Weight>(
+        next_uint(is, "weight", std::numeric_limits<Weight>::max()));
+  expect_end(is, "the last weight");
   return WeightedGraph(std::move(g), std::move(w));
 }
 

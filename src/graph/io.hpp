@@ -4,6 +4,12 @@
 //   n m
 //   u v          (m lines, 0-based endpoints)
 // Weighted variant appends a line "weights" followed by n integers.
+//
+// The readers consume the whole stream and throw CheckError with the
+// offending token on malformed input: a negative or non-integer token
+// ("-1", "1x"), a node count past NodeId, an endpoint >= n, a self-loop,
+// fewer or more edge lines than the header's m, or trailing tokens.
+// Duplicate edge lines are accepted and collapse into one edge.
 #pragma once
 
 #include <iosfwd>

@@ -11,7 +11,6 @@
 #include "common/stopwatch.hpp"
 #include "fault/faulty_network.hpp"
 #include "harness/oracle.hpp"
-#include "shard/sharded_network.hpp"
 
 namespace arbods::harness {
 
@@ -61,6 +60,36 @@ std::string json_fixed(double v) {
   return std::string(buf);
 }
 
+/// One timed repeat: its wall time and the simulator's breakdown of it.
+struct RepeatSample {
+  double seconds = 0.0;
+  obs::TimingStats timing;
+};
+
+/// The repeat median_of would report, breakdown included: the middle
+/// repeat by seconds, or the average of the two middle ones for an even
+/// count (for an odd count both are the middle one, and averaging a value
+/// with itself is exact) — so the breakdown describes the reported
+/// seconds.
+RepeatSample median_sample(std::vector<RepeatSample>& samples) {
+  if (samples.empty()) return {};
+  std::sort(samples.begin(), samples.end(),
+            [](const RepeatSample& a, const RepeatSample& b) {
+              return a.seconds < b.seconds;
+            });
+  const RepeatSample& lo = samples[(samples.size() - 1) / 2];
+  const RepeatSample& hi = samples[samples.size() / 2];
+  auto mid = [](double a, double b) { return 0.5 * (a + b); };
+  RepeatSample m;
+  m.seconds = mid(lo.seconds, hi.seconds);
+  m.timing.compute_seconds =
+      mid(lo.timing.compute_seconds, hi.timing.compute_seconds);
+  m.timing.flip_seconds = mid(lo.timing.flip_seconds, hi.timing.flip_seconds);
+  m.timing.retransmit_seconds =
+      mid(lo.timing.retransmit_seconds, hi.timing.retransmit_seconds);
+  return m;
+}
+
 }  // namespace
 
 std::vector<ScenarioRow> run_scenario(
@@ -68,10 +97,6 @@ std::vector<ScenarioRow> run_scenario(
     std::span<const CorpusInstance* const> instances) {
   ARBODS_CHECK_MSG(!spec.solvers.empty(), "scenario has no solvers");
   ARBODS_CHECK_MSG(!spec.thread_widths.empty(), "scenario has no widths");
-  ARBODS_CHECK_MSG(!spec.shard_counts.empty(), "scenario has no shard counts");
-  for (const int shard_count : spec.shard_counts)
-    ARBODS_CHECK_MSG(shard_count >= 1,
-                     "shard counts must be >= 1, got " << shard_count);
   ARBODS_CHECK_MSG(!spec.seeds.empty(), "scenario has no seeds");
   ARBODS_CHECK_MSG(!spec.fault_levels.empty(), "scenario has no fault levels");
   ARBODS_CHECK_MSG(spec.repeats >= 1, "repeats must be >= 1");
@@ -105,7 +130,6 @@ std::vector<ScenarioRow> run_scenario(
       SolverParams params =
           scenario_solver.params.value_or(params_for(info, inst));
       params.threads = -1;  // the width lives in the Network config
-      params.shards = -1;   // so does the shard count
       // Validate once per cell, outside the timed repeat loop (the
       // forests_only check walks the whole graph; run_solver_on would
       // redo it per repeat inside the Stopwatch window).
@@ -114,26 +138,25 @@ std::vector<ScenarioRow> run_scenario(
       for (const std::uint64_t seed : spec.seeds) {
       for (const ScenarioFault& level : spec.fault_levels) {
         // One reference per (instance, solver, seed, fault level): every
-        // width, every shard count, and every repeat must reproduce it
+        // width and every repeat must reproduce it
         // bit-for-bit — a sweep doubles as an end-to-end determinism
         // audit, for faulty cells exactly as for clean ones.
         MdsResult reference;
         bool have_reference = false;
 
         for (const int width : spec.thread_widths) {
-        for (const int shard_count : spec.shard_counts) {
           CongestConfig cfg = base_config;
           cfg.seed = seed;
           cfg.threads = width;
-          cfg.shards = shard_count;
           cfg.fault = level.spec;
+          validate_config(cfg, inst.wg.num_nodes());
           Network& net = pool.acquire(inst.wg, cfg);
 
           bool identical = true;
           bool failed = false;
           std::vector<obs::FlightRecord> last_rounds;
           MdsResult res;
-          std::vector<double> samples;
+          std::vector<RepeatSample> samples;
           samples.reserve(static_cast<std::size_t>(spec.repeats));
           const int total_runs =
               spec.repeats > 1 ? spec.repeats + 1 : spec.repeats;
@@ -166,7 +189,7 @@ std::vector<ScenarioRow> run_scenario(
             }
             const double seconds = timer.elapsed_seconds();
             const bool warmup = spec.repeats > 1 && rep == 0;
-            if (!warmup) samples.push_back(seconds);
+            if (!warmup) samples.push_back({seconds, run.stats.timing});
             if (spec.check_determinism) {
               if (!have_reference) {
                 reference = run;
@@ -192,7 +215,7 @@ std::vector<ScenarioRow> run_scenario(
             res.packing.clear();
             res.packing.shrink_to_fit();
           }
-          const double seconds = median_of(samples);
+          const RepeatSample median = median_sample(samples);
 
           ScenarioRow row;
           row.instance = inst.name;
@@ -202,36 +225,25 @@ std::vector<ScenarioRow> run_scenario(
           row.solver = scenario_solver.label.empty() ? scenario_solver.name
                                                      : scenario_solver.label;
           row.threads = width;
-          row.shards = shard_count;
           row.seed = seed;
           row.fault =
               level.label.empty() ? fault::fault_label(level.spec) : level.label;
           row.repeats = spec.repeats;
-          row.seconds = seconds;
+          row.seconds = median.seconds;
+          row.timing = median.timing;
+          row.other_seconds =
+              median.seconds - median.timing.compute_seconds -
+              median.timing.flip_seconds - median.timing.retransmit_seconds;
           row.result = std::move(res);
           row.identical = identical;
           row.failed = failed;
-          row.pinned = cfg.pin_threads;
-          // Bridge counters reset at each run() start, so this reads the
-          // final repeat's per-boundary volume — deterministic, hence
-          // identical across repeats anyway. A FaultyNetwork over shards
-          // keeps its bridge private, so faulty rows skip the field.
-          if (const auto* sharded =
-                  dynamic_cast<const shard::ShardedNetwork*>(&net))
-            row.bridged_bytes = sharded->boundary_bridged_bytes();
-          // Replans, by contrast, come through the decorator-unwrapping
-          // seam: a faulty sharded cell with auto_replan still reports
-          // its inner engine's plan adoptions.
-          if (const auto* core = net.sharded_core())
-            row.replans = core->replans();
           row.last_rounds = std::move(last_rounds);
           // One trace group per cell: the recorder holds the FINAL
           // repeat's spans (reset_for_reuse clears it at each run start).
           if (!spec.trace_out.empty() && net.tracer() != nullptr) {
             obs::TraceGroup group;
             group.label = inst.name + " · " + row.solver +
-                          " · t" + std::to_string(width) + " s" +
-                          std::to_string(shard_count) + " seed" +
+                          " · t" + std::to_string(width) + " seed" +
                           std::to_string(seed);
             if (row.fault != "none") group.label += " · " + row.fault;
             group.events = net.tracer()->snapshot();
@@ -239,7 +251,6 @@ std::vector<ScenarioRow> run_scenario(
               trace_groups.push_back(std::move(group));
           }
           rows.push_back(std::move(row));
-        }
         }
       }
       }
@@ -288,7 +299,6 @@ void write_scenario_json(std::ostream& os, std::span<const ScenarioRow> rows) {
        << ", \"n\": " << row.n << ", \"m\": " << row.m
        << ", \"solver\": " << json_string(row.solver)
        << ", \"threads\": " << row.threads
-       << ", \"shards\": " << row.shards
        << ", \"seed\": " << row.seed
        << ", \"fault\": " << json_string(row.fault)
        << ", \"seconds\": " << json_fixed(row.seconds)
@@ -307,24 +317,14 @@ void write_scenario_json(std::ostream& os, std::span<const ScenarioRow> rows) {
        << ", \"repair_rounds\": " << row.result.repair_rounds
        << ", \"repaired_nodes\": " << row.result.repaired_nodes
        << ", \"post_repair_weight\": " << row.result.post_repair_weight
-       << ", \"pinned\": " << (row.pinned ? "true" : "false")
-       << ", \"replans\": " << row.replans
-       << ", \"compute_seconds\": "
-       << json_fixed(row.result.stats.timing.compute_seconds)
-       << ", \"flip_seconds\": "
-       << json_fixed(row.result.stats.timing.flip_seconds)
-       << ", \"merge_seconds\": "
-       << json_fixed(row.result.stats.timing.merge_seconds)
+       << ", \"compute_seconds\": " << json_fixed(row.timing.compute_seconds)
+       << ", \"flip_seconds\": " << json_fixed(row.timing.flip_seconds)
        << ", \"retransmit_seconds\": "
-       << json_fixed(row.result.stats.timing.retransmit_seconds)
+       << json_fixed(row.timing.retransmit_seconds)
+       << ", \"other_seconds\": " << json_fixed(row.other_seconds)
        << ", \"identical\": " << (row.identical ? "true" : "false")
        << ", \"failed\": " << (row.failed ? "true" : "false")
-       << ", \"bridged_bytes\": [";
-    for (std::size_t i = 0; i < row.bridged_bytes.size(); ++i) {
-      if (i > 0) os << ", ";
-      os << row.bridged_bytes[i];
-    }
-    os << "], \"last_rounds\": [";
+       << ", \"last_rounds\": [";
     for (std::size_t i = 0; i < row.last_rounds.size(); ++i) {
       const obs::FlightRecord& r = row.last_rounds[i];
       if (i > 0) os << ", ";

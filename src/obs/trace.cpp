@@ -22,7 +22,7 @@ TraceRecorder::TraceRecorder(int workers, int ring_capacity)
 
 void TraceRecorder::record(std::size_t worker, const char* name,
                            std::int64_t begin_ns, std::int64_t end_ns,
-                           int pid, std::int64_t arg) {
+                           std::int64_t arg) {
   if (worker >= rings_.size()) worker = 0;
   WorkerRing& ring = rings_[worker];
   Event& slot = ring.events[ring.count % ring.events.size()];
@@ -30,7 +30,6 @@ void TraceRecorder::record(std::size_t worker, const char* name,
   slot.ts_ns = begin_ns - epoch_ns_;
   slot.dur_ns = std::max<std::int64_t>(end_ns - begin_ns, 0);
   slot.arg = arg;
-  slot.pid = pid;
   ++ring.count;
 }
 
@@ -62,7 +61,6 @@ std::vector<TraceEvent> TraceRecorder::snapshot() const {
       ev.name = e.name;
       ev.ts_ns = e.ts_ns;
       ev.dur_ns = e.dur_ns;
-      ev.pid = e.pid;
       ev.tid = static_cast<int>(w);
       ev.arg = e.arg;
       out.push_back(std::move(ev));
@@ -72,7 +70,6 @@ std::vector<TraceEvent> TraceRecorder::snapshot() const {
             [](const TraceEvent& a, const TraceEvent& b) {
               if (a.ts_ns != b.ts_ns) return a.ts_ns < b.ts_ns;
               if (a.dur_ns != b.dur_ns) return a.dur_ns > b.dur_ns;
-              if (a.pid != b.pid) return a.pid < b.pid;
               return a.tid < b.tid;
             });
   return out;
@@ -125,38 +122,28 @@ void write_chrome_json(std::ostream& os, std::span<const TraceGroup> groups) {
   std::string out;
   out += "{\"traceEvents\":[\n";
   bool first = true;
-  int pid_base = 0;
-  for (const TraceGroup& group : groups) {
-    // Each group claims a contiguous global pid block: local pid 0 is
-    // the driver row, local pid s+1 is shard s.
-    int max_local_pid = 0;
+  for (std::size_t g = 0; g < groups.size(); ++g) {
+    // Each group is one process row (pid = group index) with one track
+    // per worker.
+    const TraceGroup& group = groups[g];
+    const std::string pid = std::to_string(g);
     int max_tid = 0;
-    for (const TraceEvent& e : group.events) {
-      max_local_pid = std::max(max_local_pid, e.pid);
-      max_tid = std::max(max_tid, e.tid);
-    }
-    for (int p = 0; p <= max_local_pid; ++p) {
-      std::string row = group.label.empty() ? std::string("trace")
-                                            : group.label;
-      if (max_local_pid > 0) {
-        row += p == 0 ? " · driver" : " · shard " + std::to_string(p - 1);
-      }
-      if (!first) out += ",\n";
-      first = false;
-      out += "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":";
-      out += std::to_string(pid_base + p);
-      out += ",\"tid\":0,\"args\":{\"name\":\"";
-      append_escaped(out, row);
+    for (const TraceEvent& e : group.events) max_tid = std::max(max_tid, e.tid);
+    if (!first) out += ",\n";
+    first = false;
+    out += "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":";
+    out += pid;
+    out += ",\"tid\":0,\"args\":{\"name\":\"";
+    append_escaped(out, group.label.empty() ? "trace" : group.label);
+    out += "\"}}";
+    for (int t = 0; t <= max_tid; ++t) {
+      out += ",\n{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":";
+      out += pid;
+      out += ",\"tid\":";
+      out += std::to_string(t);
+      out += ",\"args\":{\"name\":\"worker ";
+      out += std::to_string(t);
       out += "\"}}";
-      for (int t = 0; t <= max_tid; ++t) {
-        out += ",\n{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":";
-        out += std::to_string(pid_base + p);
-        out += ",\"tid\":";
-        out += std::to_string(t);
-        out += ",\"args\":{\"name\":\"worker ";
-        out += std::to_string(t);
-        out += "\"}}";
-      }
     }
     for (const TraceEvent& e : group.events) {
       if (!first) out += ",\n";
@@ -168,7 +155,7 @@ void write_chrome_json(std::ostream& os, std::span<const TraceGroup> groups) {
       out += ",\"dur\":";
       append_us(out, e.dur_ns);
       out += ",\"pid\":";
-      out += std::to_string(pid_base + e.pid);
+      out += pid;
       out += ",\"tid\":";
       out += std::to_string(e.tid);
       if (e.arg >= 0) {
@@ -178,7 +165,6 @@ void write_chrome_json(std::ostream& os, std::span<const TraceGroup> groups) {
       }
       out += "}";
     }
-    pid_base += max_local_pid + 1;
   }
   out += "\n]}\n";
   os << out;

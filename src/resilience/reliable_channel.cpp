@@ -27,8 +27,8 @@ std::int64_t retransmit_gap(std::uint32_t arc, std::uint32_t seq,
 namespace {
 
 /// The config the wrapped algorithm's world is built from: the outer
-/// config with the adversary and the transport stripped (the staging
-/// engine is clean by construction, and reliable_transport=false keeps
+/// config with the adversary and the transport stripped (the virtual
+/// network is clean by construction, and reliable_transport=false keeps
 /// the ORIGINAL message cap — the headroom belongs to the physical
 /// frames only). The worker width is pinned to the outer pool's
 /// resolved width so chunk assignment matches a clean run exactly.
@@ -36,10 +36,9 @@ CongestConfig algo_config(const Network& outer) {
   CongestConfig cfg = outer.config();
   cfg.fault = fault::FaultSpec{};
   cfg.reliable_transport = false;
-  cfg.shards = 1;
   cfg.threads = outer.num_workers();
   // One recorder per run, owned by the outer stack — the virtual network
-  // and its staging engine must not construct their own.
+  // must not construct its own.
   cfg.trace = obs::TraceOptions{};
   return cfg;
 }
@@ -82,16 +81,15 @@ void check_seq(std::uint32_t next_seq, std::int64_t limit, std::size_t q) {
 }  // namespace
 
 ReliableNetwork::ReliableNetwork(const Network& outer)
-    : Network(outer.weighted_graph(), algo_config(outer), FacadeInit{}) {
-  const int workers = num_workers();
-  staging_ = std::unique_ptr<Network>(
-      new Network(*wg_, config_, SliceInit{0, num_nodes(), workers}));
+    : Network(outer.weighted_graph(), algo_config(outer)) {
   links_.resize(mirror_.size());
-  ready_links_.resize(static_cast<std::size_t>(workers));
+  ready_links_.resize(static_cast<std::size_t>(num_workers()));
   seq_limit_ = std::int64_t{1} << size_model_.level_bits;
+  // The virtual network never goes through run_phase, whose phase start
+  // marks the RNG streams consumed: the wrapped phase consumes them from
+  // here on, so the next reset_for_reuse must restore them.
+  rng_streams_fresh_ = false;
 }
-
-ReliableNetwork::~ReliableNetwork() = default;
 
 void ReliableNetwork::send(NodeId from, NodeId to, const Message& m) {
   const std::size_t q = resolve_arc(from, to);
@@ -159,7 +157,7 @@ void ReliableNetwork::for_listed_nodes(
   const std::size_t workers = static_cast<std::size_t>(num_workers());
   const std::size_t n = num_nodes();
   // Worker w owns nodes [n*w/W, n*(w+1)/W) — for_nodes' uniform split —
-  // whichever thread runs the block, so a staging lane's deposits come
+  // whichever thread runs the block, so a virtual lane's deposits come
   // from one worker slot for the whole virtual round.
   auto block = [&](std::size_t w) {
     const auto lo = static_cast<NodeId>(n * w / workers);
@@ -205,7 +203,7 @@ void ReliableNetwork::receive_node(Network& outer, NodeId v, std::size_t w) {
       continue;
     }
     if (seq == l.next) {
-      // In-order fast path: straight into the staging engine.
+      // In-order fast path: straight into the virtual lane.
       std::vector<std::uint64_t>& buf = scratch_[w];
       if (buf.size() < mv.words()) buf.resize(mv.words());
       const std::size_t nwords =
@@ -270,11 +268,11 @@ void ReliableNetwork::drain_held(std::size_t q, std::size_t w) {
 void ReliableNetwork::consume(std::size_t q, std::size_t w, std::uint64_t ctl,
                               const std::uint64_t* payload,
                               std::size_t nwords) {
-  // A payload is deposited in seq order into its staging lane — the
+  // A payload is deposited in seq order into its virtual lane — the
   // record a clean sender would have written there — from the worker
   // owning the receiving node; the round's marker marks the link ready.
   if ((ctl & kUnitPayload) != 0)
-    staging_->deposit_words(w, static_cast<EdgeSlot>(q), payload, nwords);
+    deposit_words(w, static_cast<EdgeSlot>(q), payload, nwords);
   if ((ctl & kUnitMarker) != 0) ++ready_links_[w].value;
   Link& l = links_[q];
   ++l.next;
@@ -360,55 +358,17 @@ std::int64_t ReliableNetwork::send_data(Network& outer, NodeId v, NodeId u,
 }
 
 void ReliableNetwork::deliver_and_flip() {
-  // The staging out-arena already holds the completed round's payloads,
-  // deposited in seq order as they were consumed. Same flip/round
-  // lockstep as FaultyNetwork: flip with the old round installed (the
-  // calendar drain keys off it), then advance both counters.
-  staging_->flip_buffers();
-  ++delivered_;
-  staging_->round_ = delivered_;
-  round_ = delivered_;
-  active_dirty_ = true;
+  // The out-arena already holds the completed round's payloads,
+  // deposited in seq order as they were consumed. Flip with the old
+  // round installed (the calendar drain keys off it), then advance.
+  flip_buffers();
+  ++round_;
   for (WorkerCounter& c : ready_links_) c.value = 0;
 }
 
-// --- seam overrides -------------------------------------------------------
-// The virtual network is never driven through run()/run_phase(), but the
-// seams delegate to the staging engine anyway (FaultyNetwork-style) so
-// incidental calls — e.g. via the base-class reset_for_reuse — stay
-// well-defined on this arena-less facade.
-
-void ReliableNetwork::flip_buffers() {
-  staging_->flip_buffers();
-  staging_->round_ = round_ + 1;
-  active_dirty_ = true;
-}
-
-void ReliableNetwork::clear_all_lanes() {
-  staging_->round_ = round_;
-  staging_->clear_all_lanes();
-  active_list_.clear();
-  active_dirty_ = false;
-}
-
-void ReliableNetwork::reseed_node_rngs() {
-  if (rng_streams_fresh_) return;
-  staging_->rng_streams_fresh_ = false;  // the facade tracks freshness
-  staging_->reseed_node_rngs();
-  rng_streams_fresh_ = true;
-}
-
-void ReliableNetwork::rebuild_active_set() {
-  active_dirty_ = false;
-  if (staging_->active_dirty_) staging_->rebuild_active_set();
-  active_list_ = staging_->active_list_;
-}
-
-void ReliableNetwork::shrink_scratch() { staging_->shrink_scratch(); }
-
 void ReliableNetwork::reset_for_reuse() {
-  staging_->reset_for_reuse();
-  rng_streams_fresh_ = true;
+  Network::reset_for_reuse();
+  rng_streams_fresh_ = false;  // the next wrapped phase consumes them
   // Back to the fresh-construction state, keeping every ring's and
   // reorder buffer's capacity.
   for (Link& l : links_) {
@@ -421,8 +381,6 @@ void ReliableNetwork::reset_for_reuse() {
     l.held = std::move(held);
   }
   for (WorkerCounter& c : ready_links_) c.value = 0;
-  delivered_ = 0;
-  Network::reset_for_reuse();
 }
 
 // --- ReliablePhase --------------------------------------------------------

@@ -11,13 +11,11 @@
 // Architecture — two cooperating objects per wrapped phase:
 //
 //   * ReliableNetwork: the *virtual* network the wrapped algorithm runs
-//     on. It derives from Network through the facade seams (like
-//     ShardedNetwork/FaultyNetwork) and owns a private *staging* engine —
-//     a plain Network in shard-member mode over the full node range —
-//     whose arenas hold exactly the messages of the current VIRTUAL
-//     round. The algorithm's sends are wire-encoded once, at capture,
-//     into per-link unit rings instead of hitting the wire; inbox/rng/arm
-//     delegate to the staging engine. The virtual network enforces the
+//     on. It is a full Network (like FaultyNetwork) whose arenas hold
+//     exactly the messages of the current VIRTUAL round; it overrides
+//     only send/broadcast, so the algorithm's sends are wire-encoded
+//     once, at capture, into per-link unit rings instead of hitting the
+//     wire, while inbox/rng/arm are the plain engine's. It enforces the
 //     ORIGINAL message cap and exposes the original round counter, so
 //     the algorithm's observable world is bit-identical to a clean run.
 //
@@ -26,11 +24,11 @@
 //     (1) receives transport frames from the outer inbox — dedup by
 //     per-link sequence number, buffer out-of-order arrivals, apply
 //     cumulative acks; every payload consumed in order is stripped of
-//     its transport header and deposited straight into the staging
-//     engine's out-arena (a deposit_wire copy of exactly the record a
-//     clean send writes), and every consumed round marker bumps the
+//     its transport header and deposited straight into the virtual
+//     network's out-arena (a copy of exactly the record a clean send
+//     writes), and every consumed round marker bumps the
 //     ready-link count; (2) when every link has closed the current
-//     virtual round, flips the staging engine and runs the wrapped
+//     virtual round, flips the virtual network and runs the wrapped
 //     algorithm's next process_round; (3) transmits due units plus
 //     standalone ACK frames where a delivery consumed something but no
 //     reverse DATA is flying.
@@ -64,7 +62,7 @@
 // that closes a virtual round re-visits every node, since each link
 // then carries new units or a marker. Receive-side deposits run on the
 // worker that owns the node in the uniform for_nodes split, so every
-// staging lane keeps a single writer across the physical rounds of a
+// virtual lane keeps a single writer across the physical rounds of a
 // virtual round.
 //
 // Retransmission: each unit carries its own deadline; a link-level
@@ -76,8 +74,8 @@
 //
 // (an RTT guard of 2 rounds, bounded exponential growth, deterministic
 // jitter) — no RNG state anywhere in the transport, so a run is
-// bit-identical at every worker-pool width and shard count, and
-// composes with FaultyNetwork/ShardedNetwork unchanged.
+// bit-identical at every worker-pool width, and composes with
+// FaultyNetwork unchanged.
 //
 // Determinism contract (tested in tests/resilience_test.cpp): for every
 // registry solver, `reliable(phase)` over a drop/duplicate/reorder/delay
@@ -115,21 +113,12 @@ std::int64_t retransmit_gap(std::uint32_t arc, std::uint32_t seq,
 class ReliableNetwork final : public Network {
  public:
   explicit ReliableNetwork(const Network& outer);
-  ~ReliableNetwork() override;
 
   // --- Network seams the wrapped algorithm drives ---
-  Rng& rng(NodeId v) override { return staging_->rng(v); }
   void send(NodeId from, NodeId to, const Message& m) override;
   void broadcast(NodeId from, const Message& m) override;
-  InboxView inbox(NodeId v) const override { return staging_->inbox(v); }
-  void arm_at(NodeId v, std::int64_t round) override {
-    staging_->arm_at(v, round);
-  }
-  std::size_t arena_words() const override { return staging_->arena_words(); }
+  /// Back to the fresh-construction state for the next wrapped phase.
   void reset_for_reuse() override;
-
-  /// Virtual rounds fully delivered to the wrapped algorithm so far.
-  std::int64_t delivered_rounds() const { return delivered_; }
 
  private:
   friend class ReliablePhase;
@@ -162,23 +151,14 @@ class ReliableNetwork final : public Network {
     void pop_acked(std::int64_t ack);
   };
 
-  // Seam overrides (the virtual network is never driven through
-  // run()/run_phase(); these keep incidental calls well-defined by
-  // delegating to the staging engine, FaultyNetwork-style).
-  void flip_buffers() override;
-  void clear_all_lanes() override;
-  void reseed_node_rngs() override;
-  void rebuild_active_set() override;
-  void shrink_scratch() override;
-
   /// Appends a unit to link q's ring: a captured payload (already
   /// wire-encoded) or, with nwords == 0, a standalone marker.
   void push_unit(std::size_t q, std::uint64_t ctl,
                  const std::uint64_t* payload, std::size_t nwords);
-  /// True when every link has closed virtual round delivered_rounds().
+  /// True when every link has closed virtual round current_round().
   bool virtual_round_complete() const;
-  /// Flips the staging engine (whose out-arena already holds the
-  /// completed virtual round's payloads) and advances the virtual round.
+  /// Flips the arenas (the out-arena already holds the completed virtual
+  /// round's payloads) and advances the virtual round.
   void deliver_and_flip();
 
   /// Runs fn(v, w) for every listed node (ascending), where w is the
@@ -196,7 +176,7 @@ class ReliableNetwork final : public Network {
 
   void receive_node(Network& outer, NodeId v, std::size_t w);
   /// Takes the in-order arrival `ctl` (+ stripped payload) on link q:
-  /// the payload goes into the staging lane, a marker closes the link.
+  /// the payload goes into the virtual lane, a marker closes the link.
   void consume(std::size_t q, std::size_t w, std::uint64_t ctl,
                const std::uint64_t* payload, std::size_t nwords);
   /// Consumes the held arrivals on link q that are now in order.
@@ -209,17 +189,15 @@ class ReliableNetwork final : public Network {
                          std::uint32_t seq, std::uint64_t* unit,
                          std::int64_t now);
 
-  std::unique_ptr<Network> staging_;
   std::vector<Link> links_;
   /// Per-worker count of links whose marker for the open virtual round
   /// was consumed; they sum to the link count when the round is closed.
   std::vector<WorkerCounter> ready_links_;
-  std::int64_t delivered_ = 0;
   std::int64_t seq_limit_ = 0;  // 2^level_bits, the transport seq ceiling
 };
 
 /// Phase adapter: wraps `inner` so it runs with exactly-once,
-/// sender-ordered delivery on any (faulty, sharded) Network. Appears in
+/// sender-ordered delivery on any (plain or faulty) Network. Appears in
 /// per-phase statistics as "<inner>+rel". ProtocolRunner applies it
 /// automatically when CongestConfig::reliable_transport is set.
 class ReliablePhase final : public protocol::Phase {

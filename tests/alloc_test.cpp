@@ -33,7 +33,6 @@
 #include "gen/classic.hpp"
 #include "protocol/phase.hpp"
 #include "resilience/reliable_channel.hpp"
-#include "shard/sharded_network.hpp"
 
 namespace {
 
@@ -143,12 +142,10 @@ class FloodProbe final : public protocol::Phase {
   std::vector<double> sums_;
 };
 
-void expect_zero_steady_state_allocs(int threads, int shards = 1,
-                                     bool traced = false) {
+void expect_zero_steady_state_allocs(int threads, bool traced = false) {
   auto wg = WeightedGraph::uniform(gen::grid(48, 48));  // n = 2304, m = 4512
   CongestConfig cfg;
   cfg.threads = threads;
-  cfg.shards = shards;
   if (traced) {
     // Tracing and the flight recorder must hold the same contract: the
     // span ring and flight ring are sized at construction / phase start,
@@ -156,24 +153,15 @@ void expect_zero_steady_state_allocs(int threads, int shards = 1,
     cfg.trace.enabled = true;
     cfg.trace.flight_rounds = 8;
   }
-  // shards = 1 constructs a plain Network, > 1 the sharded facade —
-  // whose relay segments and parallel flip merge must also go quiet
-  // after warm-up (segment/spill capacity growth happens early, then
-  // every bridged record reuses the grown buffers).
-  auto net = shard::make_network(wg, cfg);
+  Network net(wg, cfg);
   FloodProbe probe;
   probe.prepare(wg.num_nodes());
-  const RunStats stats = net->run(probe, 100);
+  const RunStats stats = net.run(probe, 100);
   EXPECT_GT(stats.messages, 0);
   ASSERT_GT(probe.allocs_at_start, 0u);  // warm-up did allocate
   EXPECT_EQ(probe.allocs_at_end - probe.allocs_at_start, 0u)
       << "steady-state rounds allocated (threads=" << threads
-      << ", shards=" << shards << ")";
-  if (shards > 1) {
-    auto* facade = dynamic_cast<shard::ShardedNetwork*>(net.get());
-    ASSERT_NE(facade, nullptr);
-    EXPECT_GT(facade->bridge_records(), 0) << "bridge never exercised";
-  }
+      << ", traced=" << traced << ")";
 }
 
 TEST(AllocRegression, SteadyStateRoundsAllocateNothingSerial) {
@@ -184,20 +172,12 @@ TEST(AllocRegression, SteadyStateRoundsAllocateNothingParallel) {
   expect_zero_steady_state_allocs(4);
 }
 
-TEST(AllocRegression, ShardedSteadyStateRoundsAllocateNothingSerial) {
-  expect_zero_steady_state_allocs(1, /*shards=*/3);
-}
-
-TEST(AllocRegression, ShardedSteadyStateRoundsAllocateNothingParallel) {
-  expect_zero_steady_state_allocs(4, /*shards=*/3);
-}
-
 TEST(AllocRegression, TracedSteadyStateRoundsAllocateNothingSerial) {
-  expect_zero_steady_state_allocs(1, /*shards=*/1, /*traced=*/true);
+  expect_zero_steady_state_allocs(1, /*traced=*/true);
 }
 
-TEST(AllocRegression, TracedShardedSteadyStateRoundsAllocateNothingParallel) {
-  expect_zero_steady_state_allocs(4, /*shards=*/3, /*traced=*/true);
+TEST(AllocRegression, TracedSteadyStateRoundsAllocateNothingParallel) {
+  expect_zero_steady_state_allocs(4, /*traced=*/true);
 }
 
 // Reliable transport on a zero-fault Network: the virtual rounds of the

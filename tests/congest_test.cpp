@@ -279,6 +279,34 @@ TEST(Network, DefaultCapScalesWithLogN) {
   EXPECT_LE(net_big.max_message_bits(), 4 * 21);
 }
 
+TEST(Network, ValidateConfigRejectsEachOutOfRangeField) {
+  const NodeId n = 100;
+  EXPECT_NO_THROW(validate_config(CongestConfig{}, n));
+  auto rejects = [n](auto mutate, const char* what) {
+    CongestConfig cfg;
+    mutate(cfg);
+    EXPECT_THROW(validate_config(cfg, n), CheckError) << what;
+  };
+  rejects([](CongestConfig& c) { c.threads = -2; }, "negative threads");
+  rejects([](CongestConfig& c) { c.threads = kMaxThreads + 1; }, "threads");
+  rejects([](CongestConfig& c) { c.log_factor = 0; }, "log_factor 0");
+  rejects([](CongestConfig& c) { c.log_factor = 65; }, "log_factor 65");
+  rejects([](CongestConfig& c) { c.max_message_bits_override = -1; },
+          "negative cap override");
+  rejects([](CongestConfig& c) {
+    c.max_message_bits_override = kMaxMessageBits + 1;
+  }, "huge cap override");
+  rejects([](CongestConfig& c) { c.fault.drop_prob = -0.1; }, "drop_prob");
+  rejects([](CongestConfig& c) { c.fault.reorder_prob = 2.0; }, "reorder");
+  rejects([](CongestConfig& c) { c.fault.max_delay_rounds = -1; }, "delay");
+  rejects([](CongestConfig& c) { c.round_limit = -5; }, "round_limit");
+  CongestConfig edge;
+  edge.threads = 0;  // all hardware threads
+  edge.max_message_bits_override = kMaxMessageBits;
+  edge.fault.drop_prob = 1.0;
+  EXPECT_NO_THROW(validate_config(edge, n));
+}
+
 // Never-finishing algorithm to test the round limit.
 class ForeverAlgorithm final : public DistributedAlgorithm {
  public:

@@ -3,9 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "common/check.hpp"
+#include "common/random.hpp"
 #include "gen/classic.hpp"
+#include "gen/trees.hpp"
 #include "graph/builder.hpp"
 #include "graph/graph.hpp"
 #include "graph/io.hpp"
@@ -256,6 +260,85 @@ TEST(Io, CommentsSkipped) {
 TEST(Io, TruncatedInputThrows) {
   std::stringstream ss("3 2\n0 1\n");
   EXPECT_THROW(read_graph(ss), CheckError);
+}
+
+// Seeded malformed-input table: each case mutates the text of a valid
+// random tree and pins the error read_graph reports. No value may be
+// narrowed into NodeId (2^32+3 must not read as 3) and no token may be
+// read by prefix ("1x" must not read as 1).
+TEST(Io, MalformedInputTableRejectsEachCaseWithItsMessage) {
+  Rng rng(0x10ba5eULL);
+  const Graph tree = gen::random_tree_prufer(12, rng);
+  std::ostringstream valid_os;
+  write_graph(valid_os, tree);
+  const std::string valid = valid_os.str();
+  std::istringstream valid_in(valid);
+  ASSERT_EQ(read_graph(valid_in), tree);
+
+  // The i-th line of `text` (0 = header) replaced by `line`.
+  auto with_line = [&](std::size_t i, const std::string& line) {
+    std::istringstream in(valid);
+    std::ostringstream out;
+    std::string cur;
+    for (std::size_t k = 0; std::getline(in, cur); ++k)
+      out << (k == i ? line : cur) << "\n";
+    return out.str();
+  };
+  const std::string n_str = std::to_string(tree.num_nodes());
+  const std::string m_str = std::to_string(tree.num_edges());
+  const Edge last = tree.edges().back();
+  const std::string without_last_line =
+      valid.substr(0, valid.rfind('\n', valid.size() - 2) + 1);
+
+  struct Case {
+    const char* name;
+    std::string text;
+    const char* message;
+  };
+  const std::vector<Case> cases = {
+      {"truncated edge list", without_last_line,
+       "unexpected EOF reading edge endpoint"},
+      {"truncated mid-edge", valid.substr(0, valid.size() - 3),
+       "unexpected EOF reading edge endpoint"},
+      {"endpoint = n", with_line(1, "0 " + n_str), "out of range n=12"},
+      {"endpoint past NodeId", with_line(1, "0 4294967298"),
+       "'4294967298' is out of range"},
+      {"self-loop", with_line(1, "5 5"), "self-loop at node 5"},
+      {"m larger than the edge list", with_line(0, n_str + " 12"),
+       "unexpected EOF reading edge endpoint"},
+      {"m smaller than the edge list", with_line(0, n_str + " 10"),
+       "unexpected token"},
+      {"n = 2^32+3", with_line(0, "4294967299 " + m_str),
+       "node count '4294967299' is out of range"},
+      {"n = 10^12", with_line(0, "1000000000000 " + m_str),
+       "node count '1000000000000' is out of range"},
+      {"trailing junk in an id", with_line(1, "0 1x"),
+       "edge endpoint '1x' is not an integer"},
+      {"negative id", with_line(1, "-1 2"), "edge endpoint '-1' is negative"},
+      {"negative edge count", with_line(0, n_str + " -1"),
+       "edge count '-1' is negative"},
+      {"u64 overflow", with_line(0, n_str + " 99999999999999999999999"),
+       "edge count '99999999999999999999999' is out of range"},
+  };
+  for (const Case& c : cases) {
+    std::istringstream in(c.text);
+    try {
+      read_graph(in);
+      ADD_FAILURE() << c.name << ": accepted";
+    } catch (const CheckError& e) {
+      EXPECT_NE(std::string(e.what()).find(c.message), std::string::npos)
+          << c.name << ": got '" << e.what() << "'";
+    }
+  }
+
+  // Duplicate edge lines are accepted today and collapse into one edge
+  // (the header's m counts lines, not distinct edges).
+  const std::string dup = with_line(1, std::to_string(last.u) + " " +
+                                           std::to_string(last.v));
+  std::istringstream dup_in(dup);
+  const Graph collapsed = read_graph(dup_in);
+  EXPECT_EQ(collapsed.num_edges(), tree.num_edges() - 1);
+  EXPECT_TRUE(collapsed.has_edge(last.u, last.v));
 }
 
 // --------------------------------------------------------------- transform

@@ -10,6 +10,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "congest/network.hpp"
 #include "core/mds_result.hpp"
@@ -17,14 +18,13 @@
 #include "harness/corpus.hpp"
 #include "harness/scenario.hpp"
 #include "obs/trace.hpp"
-#include "shard/sharded_network.hpp"
 
 namespace arbods {
 namespace {
 
 // Floods for a fixed number of rounds through the active-set path, so a
-// traced run exercises chunk dispatch, flips, and (sharded) bridge
-// merges while staying deterministic.
+// traced run exercises chunk dispatch and flips while staying
+// deterministic.
 class FixedRoundFlood final : public DistributedAlgorithm {
  public:
   explicit FixedRoundFlood(std::int64_t rounds) : rounds_(rounds) {}
@@ -56,7 +56,7 @@ TEST(TraceRecorder, SnapshotMergesRingsInStartOrder) {
   obs::TraceRecorder rec(2, 16);
   const std::int64_t b = obs::monotonic_ns();
   rec.record(0, "outer", b + 100, b + 500);
-  rec.record(0, "inner", b + 200, b + 300, /*pid=*/0, /*arg=*/7);
+  rec.record(0, "inner", b + 200, b + 300, /*arg=*/7);
   rec.record(1, "other", b + 150, b + 250);
 
   const auto events = rec.snapshot();
@@ -78,7 +78,7 @@ TEST(TraceRecorder, FullRingOverwritesOldestEvents) {
   obs::TraceRecorder rec(1, 4);
   const std::int64_t b = obs::monotonic_ns();
   for (int i = 0; i < 10; ++i)
-    rec.record(0, "ev", b + i * 10, b + i * 10 + 5, 0, i);
+    rec.record(0, "ev", b + i * 10, b + i * 10 + 5, i);
 
   const auto events = rec.snapshot();
   ASSERT_EQ(events.size(), 4u);
@@ -117,13 +117,16 @@ TEST(ChromeJson, WriterEmitsCompleteEventsAndProcessMetadata) {
   inner.name = "inner";
   inner.ts_ns = 2000;
   inner.dur_ns = 1000;
-  inner.pid = 1;
   inner.tid = 1;
   inner.arg = 5;
   group.events = {outer, inner};
+  obs::TraceGroup second;
+  second.label = "next";
+  second.events = {outer};
+  const std::vector<obs::TraceGroup> groups = {group, second};
 
   std::ostringstream os;
-  obs::write_chrome_json(os, std::span<const obs::TraceGroup>(&group, 1));
+  obs::write_chrome_json(os, groups);
   const std::string json = os.str();
   EXPECT_EQ(json.front(), '{');
   EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
@@ -131,8 +134,12 @@ TEST(ChromeJson, WriterEmitsCompleteEventsAndProcessMetadata) {
   EXPECT_NE(json.find("\"ph\":\"M\""), std::string::npos);
   EXPECT_NE(json.find("process_name"), std::string::npos);
   EXPECT_NE(json.find("thread_name"), std::string::npos);
-  EXPECT_NE(json.find("cell · driver"), std::string::npos);
-  EXPECT_NE(json.find("cell · shard 0"), std::string::npos);
+  // One process row per group, pid = group index.
+  EXPECT_NE(json.find("\"pid\":0,\"tid\":0,\"args\":{\"name\":\"cell\"}"),
+            std::string::npos);
+  EXPECT_NE(json.find("\"pid\":1,\"tid\":0,\"args\":{\"name\":\"next\"}"),
+            std::string::npos);
+  EXPECT_EQ(json.find("\"pid\":2"), std::string::npos);
   EXPECT_NE(json.find("\"ts\":1.000"), std::string::npos);  // 1000 ns
   EXPECT_NE(json.find("\"dur\":4.000"), std::string::npos);
   EXPECT_NE(json.find("\"args\":{\"count\":5}"), std::string::npos);
@@ -168,7 +175,7 @@ TEST(TimingStats, RunAccumulatesComputeAndFlipSeconds) {
   EXPECT_EQ(stats.rounds, 6);
   EXPECT_GT(stats.timing.compute_seconds, 0.0);
   EXPECT_GT(stats.timing.flip_seconds, 0.0);
-  EXPECT_EQ(stats.timing.merge_seconds, 0.0);  // no bridge on 1 shard
+  EXPECT_EQ(stats.timing.merge_seconds, 0.0);  // no stage writes it
   ASSERT_EQ(stats.phases.size(), 1u);
   EXPECT_DOUBLE_EQ(stats.phases[0].timing.compute_seconds,
                    stats.timing.compute_seconds);
@@ -223,27 +230,6 @@ TEST(Tracing, SnapshotContainsNestedPhaseRoundAndChunkSpans) {
   EXPECT_EQ(round_args, 4);
 }
 
-TEST(Tracing, ShardedRunRecordsBridgeMergesOnShardRows) {
-  const auto wg = WeightedGraph::uniform(gen::grid(8, 8));
-  CongestConfig cfg;
-  cfg.threads = 2;
-  cfg.shards = 2;
-  cfg.trace.enabled = true;
-  auto net = shard::make_network(wg, cfg);
-  FixedRoundFlood algo(6);
-  net->run(algo, 100);
-
-  ASSERT_NE(net->tracer(), nullptr);
-  bool saw_shard_row = false, saw_merge = false;
-  for (const auto& e : net->tracer()->snapshot()) {
-    saw_shard_row |= e.pid > 0;
-    saw_merge |= e.name == std::string("bridge:merge");
-  }
-  EXPECT_TRUE(saw_shard_row) << "shard-side spans carry pid = shard + 1";
-  EXPECT_TRUE(saw_merge);
-  EXPECT_GT(net->stats().timing.merge_seconds, 0.0);
-}
-
 TEST(Tracing, EnabledTracingKeepsResultsBitIdentical) {
   const auto corpus = harness::small_corpus(21);
   const std::vector<const harness::CorpusInstance*> one = {&corpus.front()};
@@ -251,7 +237,6 @@ TEST(Tracing, EnabledTracingKeepsResultsBitIdentical) {
   harness::ScenarioSpec plain;
   plain.solvers = {{"det", std::nullopt, ""}};
   plain.thread_widths = {1, 4};
-  plain.shard_counts = {1, 2};
   const auto untraced = harness::run_scenario(plain, one);
 
   harness::ScenarioSpec traced = plain;
@@ -278,8 +263,8 @@ TEST(Tracing, EnabledTracingKeepsResultsBitIdentical) {
   EXPECT_NE(json.find("\"ph\":\"X\""), std::string::npos);
   EXPECT_NE(json.find("process_name"), std::string::npos);
   // One labeled process row per traced cell.
-  EXPECT_NE(json.find("t1 s1"), std::string::npos);
-  EXPECT_NE(json.find("t4 s2"), std::string::npos);
+  EXPECT_NE(json.find("t1 seed"), std::string::npos);
+  EXPECT_NE(json.find("t4 seed"), std::string::npos);
   std::remove(trace_path.c_str());
 }
 
@@ -362,12 +347,13 @@ TEST(FlightRecorder, StarvedScenarioRowsCarryLastRounds) {
 
 // -------------------------------------------------------- scenario JSON
 
-TEST(ScenarioJson, SchemaV7EmitsTimingColumnsAtFixedPrecision) {
+TEST(ScenarioJson, EmitsTimingColumnsAtFixedPrecision) {
   harness::ScenarioRow row;
   row.instance = "inst";
   row.family = "fam";
   row.seconds = 0.000123456;
-  row.result.stats.timing.compute_seconds = 1.5;
+  row.timing.compute_seconds = 1.5;
+  row.other_seconds = 0.25;
   obs::FlightRecord rec;
   rec.round = 9;
   rec.active = 4;
@@ -378,14 +364,18 @@ TEST(ScenarioJson, SchemaV7EmitsTimingColumnsAtFixedPrecision) {
   harness::write_scenario_json(os,
                                std::span<const harness::ScenarioRow>(&row, 1));
   const std::string json = os.str();
-  EXPECT_NE(json.find("\"schema_version\": 7"), std::string::npos);
+  EXPECT_NE(json.find("\"schema_version\": 8"), std::string::npos);
   // Fixed 9-decimal seconds: sub-millisecond values survive round-trip.
   EXPECT_NE(json.find("\"seconds\": 0.000123456"), std::string::npos);
   EXPECT_NE(json.find("\"compute_seconds\": 1.500000000"),
             std::string::npos);
   EXPECT_NE(json.find("\"flip_seconds\": 0.000000000"), std::string::npos);
-  EXPECT_NE(json.find("\"merge_seconds\""), std::string::npos);
   EXPECT_NE(json.find("\"retransmit_seconds\""), std::string::npos);
+  EXPECT_NE(json.find("\"other_seconds\": 0.250000000"), std::string::npos);
+  // v8 dropped the columns only the removed in-process simulator wrote.
+  for (const char* gone : {"\"pinned\"", "\"bridged_bytes\"",
+                           "\"merge_seconds\""})
+    EXPECT_EQ(json.find(gone), std::string::npos) << gone;
   EXPECT_NE(json.find("\"last_rounds\": [{\"round\": 9, \"active\": 4, "
                       "\"delivered\": 10"),
             std::string::npos);

@@ -2,15 +2,15 @@
 // core contract — every registry solver's OUTPUT is bit-identical to its
 // fault-free run when driven over a drop/duplicate/delay/reorder
 // adversary with config.reliable_transport set, at every worker-pool
-// width and shard count — plus the deterministic retransmission
+// width — plus the deterministic retransmission
 // schedule, the kill_round=1 boundary semantics repair relies on, the
 // post-kill repair protocol on a hand-built casualty, the
 // "<solver>+repair" registry variants under a kill-only scenario sweep
-// (cross-width/cross-shard determinism + the surviving-subgraph oracle),
+// (cross-width determinism + the surviving-subgraph oracle),
 // and FaultSpec/FaultPlan validation.
 //
 // The wide width honors ARBODS_TEST_THREADS (CI: 8) like the other
-// determinism suites; the shard legs always run K in {1, 2, 4}.
+// determinism suites.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -30,6 +30,7 @@
 #include "harness/registry.hpp"
 #include "harness/scenario.hpp"
 #include "protocol/phase.hpp"
+#include "protocol/runner.hpp"
 #include "resilience/reliable_channel.hpp"
 #include "resilience/repair.hpp"
 
@@ -86,7 +87,7 @@ TEST(ReliableChannel, RetransmitGapIsPureAndBounded) {
 
 // ----------------------------------- output bit-identity under faults
 
-TEST(ReliableChannel, EverySolverMatchesItsCleanOutputAcrossWidthsAndShards) {
+TEST(ReliableChannel, EverySolverMatchesItsCleanOutputAcrossWidths) {
   const int wide = test_thread_width();
   const auto corpus = harness::small_corpus(21);
   ASSERT_GE(corpus.size(), 3u);
@@ -104,7 +105,6 @@ TEST(ReliableChannel, EverySolverMatchesItsCleanOutputAcrossWidthsAndShards) {
       if (!harness::solver_applicable(info, inst)) continue;
       harness::SolverParams params = harness::params_for(info, inst);
       params.threads = -1;
-      params.shards = -1;
 
       CongestConfig clean_cfg;
       clean_cfg.seed = lossy.seed;
@@ -112,25 +112,66 @@ TEST(ReliableChannel, EverySolverMatchesItsCleanOutputAcrossWidthsAndShards) {
       const MdsResult reference = info.run_on(clean, params);
 
       for (const int threads : {1, wide}) {
-        for (const int shards : {1, 2, 4}) {
-          CongestConfig cfg = lossy;
-          cfg.threads = threads;
-          cfg.shards = shards;
-          const std::unique_ptr<Network> net =
-              fault::make_network(inst.wg, cfg);
-          const MdsResult res = info.run_on(*net, params);
-          EXPECT_TRUE(outputs_identical(reference, res))
-              << info.name << " on " << inst.name << " at threads=" << threads
-              << " shards=" << shards;
-          // The transport cannot be free: reliability costs physical
-          // rounds (markers, acks, retransmissions).
-          EXPECT_GT(res.stats.rounds, reference.stats.rounds)
-              << info.name << " on " << inst.name;
-          EXPECT_FALSE(res.stats.hit_round_limit)
-              << info.name << " on " << inst.name;
-        }
+        CongestConfig cfg = lossy;
+        cfg.threads = threads;
+        const std::unique_ptr<Network> net = fault::make_network(inst.wg, cfg);
+        const MdsResult res = info.run_on(*net, params);
+        EXPECT_TRUE(outputs_identical(reference, res))
+            << info.name << " on " << inst.name << " at threads=" << threads;
+        // The transport cannot be free: reliability costs physical
+        // rounds (markers, acks, retransmissions).
+        EXPECT_GT(res.stats.rounds, reference.stats.rounds)
+            << info.name << " on " << inst.name;
+        EXPECT_FALSE(res.stats.hit_round_limit)
+            << info.name << " on " << inst.name;
       }
     }
+  }
+}
+
+// One round of per-node RNG draws: every node records its next two
+// draws, in initialize and in its single process_round.
+class RngDrawPhase final : public protocol::Phase {
+ public:
+  std::vector<std::uint64_t> draws_;
+
+  std::string_view name() const override { return "draw"; }
+  void initialize(Network& net) override {
+    draws_.assign(2 * static_cast<std::size_t>(net.num_nodes()), 0);
+    net.for_nodes([&](NodeId v) { draws_[2 * v] = net.rng(v).next_u64(); });
+  }
+  void process_round(Network& net) override {
+    net.for_nodes([&](NodeId v) {
+      draws_[2 * v + 1] = net.rng(v).next_u64();
+    });
+  }
+  bool finished(const Network& net) const override {
+    return net.current_round() >= 1;
+  }
+};
+
+TEST(ReliableChannel, EveryWrappedPhaseStartsFromFreshRngStreams) {
+  // Every phase starts from freshly seeded RNG streams (run_phase's
+  // contract). The reliable adapter reuses one virtual network across
+  // the phases it wraps, so its reset must restore the streams the
+  // previous wrapped phase consumed.
+  const auto wg = WeightedGraph::uniform(gen::grid(6, 6));
+  CongestConfig cfg;
+  cfg.seed = 0x5eed5ULL;
+  Network clean(wg, cfg);
+  RngDrawPhase clean_a, clean_b;
+  protocol::run_protocol(clean, {&clean_a, &clean_b});
+  ASSERT_EQ(clean_a.draws_, clean_b.draws_);
+
+  for (const int threads : {1, test_thread_width()}) {
+    cfg.threads = threads;
+    cfg.reliable_transport = true;
+    Network net(wg, cfg);
+    RngDrawPhase a, b;
+    const RunStats stats = protocol::run_protocol(net, {&a, &b});
+    EXPECT_FALSE(stats.hit_round_limit);
+    EXPECT_EQ(a.draws_, clean_a.draws_) << "threads=" << threads;
+    EXPECT_EQ(b.draws_, clean_b.draws_) << "threads=" << threads;
   }
 }
 
@@ -142,7 +183,6 @@ TEST(ReliableChannel, ZeroFaultReliableRunStillMatchesCleanOutput) {
   const harness::SolverInfo& info = harness::solver("det");
   harness::SolverParams params = harness::params_for(info, inst);
   params.threads = -1;
-  params.shards = -1;
   CongestConfig cfg;
   cfg.seed = 0xc0feULL;
   Network clean(inst.wg, cfg);
@@ -314,9 +354,9 @@ TEST(ReliableChannel, ZeroFieldSendBeforeRoundEndIsNotAMarker) {
   EXPECT_EQ(probe.digest_, clean_probe.digest_);
 }
 
-TEST(ReliableChannel, PhysicalStatsAreBitIdenticalAcrossWidthsAndShards) {
+TEST(ReliableChannel, PhysicalStatsAreBitIdenticalAcrossWidths) {
   // The transport's own traffic is deterministic too: frames, rounds,
-  // bits and fault counters match at every pool width and shard count.
+  // bits and fault counters match at every pool width.
   // The grid is large enough for the receive/transmit passes to run both
   // inline (quiet waiting rounds) and on the pool (dense rounds).
   const auto wg = WeightedGraph::uniform(gen::grid(40, 40));
@@ -334,21 +374,16 @@ TEST(ReliableChannel, PhysicalStatsAreBitIdenticalAcrossWidthsAndShards) {
   lossy.fault.max_delay_rounds = 2;
   std::optional<RunStats> reference;
   for (const int threads : {1, 2, test_thread_width()}) {
-    for (const int shards : {1, 3}) {
-      CongestConfig cfg = lossy;
-      cfg.threads = threads;
-      cfg.shards = shards;
-      const std::unique_ptr<Network> net = fault::make_network(wg, cfg);
-      EchoProbe probe(EchoProbe::Mix::kTagged, kRounds);
-      resilience::ReliablePhase wrapped = reliable(probe);
-      const RunStats stats = net->run(wrapped, 10'000);
-      EXPECT_FALSE(stats.hit_round_limit);
-      EXPECT_EQ(probe.digest_, clean_probe.digest_)
-          << "threads=" << threads << " shards=" << shards;
-      if (!reference) reference = stats;
-      EXPECT_EQ(stats, *reference)
-          << "threads=" << threads << " shards=" << shards;
-    }
+    CongestConfig cfg = lossy;
+    cfg.threads = threads;
+    const std::unique_ptr<Network> net = fault::make_network(wg, cfg);
+    EchoProbe probe(EchoProbe::Mix::kTagged, kRounds);
+    resilience::ReliablePhase wrapped = reliable(probe);
+    const RunStats stats = net->run(wrapped, 10'000);
+    EXPECT_FALSE(stats.hit_round_limit);
+    EXPECT_EQ(probe.digest_, clean_probe.digest_) << "threads=" << threads;
+    if (!reference) reference = stats;
+    EXPECT_EQ(stats, *reference) << "threads=" << threads;
   }
   EXPECT_GT(reference->dropped, 0);
   EXPECT_GT(reference->rounds, kRounds);
@@ -360,19 +395,14 @@ TEST(ReliableChannel, PhysicalStatsAreBitIdenticalAcrossWidthsAndShards) {
     if (!harness::solver_applicable(info, inst)) continue;
     harness::SolverParams params = harness::params_for(info, inst);
     params.threads = -1;
-    params.shards = -1;
     std::optional<RunStats> first;
     for (const int threads : {1, test_thread_width()}) {
-      for (const int shards : {1, 2}) {
-        CongestConfig cfg = lossy;
-        cfg.threads = threads;
-        cfg.shards = shards;
-        const std::unique_ptr<Network> net = fault::make_network(inst.wg, cfg);
-        const MdsResult res = info.run_on(*net, params);
-        if (!first) first = res.stats;
-        EXPECT_EQ(res.stats, *first) << info.name << " at threads=" << threads
-                                     << " shards=" << shards;
-      }
+      CongestConfig cfg = lossy;
+      cfg.threads = threads;
+      const std::unique_ptr<Network> net = fault::make_network(inst.wg, cfg);
+      const MdsResult res = info.run_on(*net, params);
+      if (!first) first = res.stats;
+      EXPECT_EQ(res.stats, *first) << info.name << " at threads=" << threads;
     }
   }
 }
@@ -526,13 +556,12 @@ TEST(Repair, ScenarioRowsAreDeterministicAndPassTheSurvivingOracle) {
   spec.solvers = {{"det+repair", std::nullopt, ""},
                   {"greedy-threshold+repair", std::nullopt, ""}};
   spec.thread_widths = {1, wide};
-  spec.shard_counts = {1, 2, 4};
   spec.fault_levels = {kills};
   spec.tolerate_failures = true;
   spec.base_config.round_limit = 400;
   const std::vector<const harness::CorpusInstance*> one = {&inst};
   const auto rows = harness::run_scenario(spec, one);
-  ASSERT_EQ(rows.size(), 12u);  // 2 solvers x 2 widths x 3 shard counts
+  ASSERT_EQ(rows.size(), 4u);  // 2 solvers x 2 widths
   EXPECT_TRUE(harness::all_identical(rows));
 
   harness::OracleOptions opts;
@@ -548,14 +577,14 @@ TEST(Repair, ScenarioRowsAreDeterministicAndPassTheSurvivingOracle) {
     const auto rep = harness::check_solver_result(
         info, harness::params_for(info, inst), inst, row.result, opts);
     EXPECT_TRUE(rep.ok) << row.solver << " at threads=" << row.threads
-                        << " shards=" << row.shards << ": " << rep.failure;
+                        << ": " << rep.failure;
   }
 
   // The v5 repair columns and round-limit flag ride in the JSON rows.
   std::ostringstream os;
   harness::write_scenario_json(os, rows);
   const std::string json = os.str();
-  EXPECT_NE(json.find("\"schema_version\": 7"), std::string::npos);
+  EXPECT_NE(json.find("\"schema_version\": 8"), std::string::npos);
   EXPECT_NE(json.find("\"hit_round_limit\": "), std::string::npos);
   EXPECT_NE(json.find("\"repair_rounds\": "), std::string::npos);
   EXPECT_NE(json.find("\"repaired_nodes\": "), std::string::npos);

@@ -2,9 +2,11 @@
 // widths x seeds x repeats}, bit-identity against the direct registry
 // drivers, Network pooling (constructed once per (width, seed) and
 // reused across solvers and repeats), parameter overrides, applicability
-// skipping, and the JSON writer.
+// skipping, config validation, the timing breakdown, and the JSON
+// writer.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <sstream>
 
 #include "harness/oracle.hpp"
@@ -90,6 +92,55 @@ TEST(Scenario, RepeatsReuseTheNetworkAndStayIdentical) {
   ASSERT_EQ(rows.size(), 2u);
   EXPECT_TRUE(all_identical(rows));
   for (const auto& row : rows) EXPECT_EQ(row.repeats, 3);
+}
+
+TEST(Scenario, TimingColumnsSumToTheReportedSeconds) {
+  const auto corpus = small_corpus(18);
+  const auto instances = pointers(corpus, 2);
+  ScenarioSpec spec;
+  spec.solvers.push_back({"det", std::nullopt, ""});
+  spec.solvers.push_back({"greedy-threshold", std::nullopt, ""});
+  spec.thread_widths = {1, 2};
+  // Reliable transport over a lossy wire puts time in every column.
+  ScenarioFault lossy;
+  lossy.label = "lossy";
+  lossy.spec.drop_prob = 0.05;
+  spec.fault_levels = {{}, lossy};
+  for (const int repeats : {3, 4}) {  // odd: middle repeat; even: average
+    spec.repeats = repeats;
+    spec.base_config.reliable_transport = repeats == 4;
+    const auto rows = run_scenario(spec, instances);
+    ASSERT_EQ(rows.size(), 16u);
+    for (const auto& row : rows) {
+      const obs::TimingStats& t = row.timing;
+      EXPECT_NEAR(t.compute_seconds + t.flip_seconds + t.retransmit_seconds +
+                      row.other_seconds,
+                  row.seconds, 1e-9)
+          << row.instance << " / " << row.solver << " / " << row.fault;
+      EXPECT_GE(row.other_seconds, 0.0) << row.instance << " / " << row.solver;
+      EXPECT_GT(t.compute_seconds, 0.0);
+      EXPECT_EQ(t.merge_seconds, 0.0);
+      if (spec.base_config.reliable_transport)
+        EXPECT_GT(t.retransmit_seconds, 0.0) << row.solver;
+    }
+  }
+}
+
+TEST(Scenario, OutOfRangeConfigsAreRejectedBeforeAnyRun) {
+  const auto corpus = small_corpus(19);
+  const auto instances = pointers(corpus, 1);
+  ScenarioSpec spec;
+  spec.solvers.push_back({"det", std::nullopt, ""});
+  spec.thread_widths = {-2};
+  EXPECT_THROW(run_scenario(spec, instances), CheckError);
+  spec.thread_widths = {1};
+  ScenarioFault bad;
+  bad.spec.drop_prob = 1.5;
+  spec.fault_levels = {bad};
+  EXPECT_THROW(run_scenario(spec, instances), CheckError);
+  spec.fault_levels = {{}};
+  spec.base_config.round_limit = -1;
+  EXPECT_THROW(run_scenario(spec, instances), CheckError);
 }
 
 TEST(Scenario, SolverParamOverridesAreHonored) {
