@@ -88,10 +88,6 @@ double parse_real(const char* flag, const char* text) {
   return value;
 }
 
-// Largest --n the generators are asked for; beyond it a typo would only
-// end in an allocation failure.
-constexpr NodeId kMaxNodes = 100'000'000;
-
 Graph make_graph(const std::string& family, NodeId n, Rng& rng) {
   if (family == "tree") return gen::random_tree_prufer(n, rng);
   if (family == "forest2") return gen::k_tree_union(n, 2, rng);

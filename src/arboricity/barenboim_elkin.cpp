@@ -8,6 +8,15 @@
 
 namespace arbods {
 
+namespace {
+
+// Edge {u, v} points from lower to higher level, ties broken by id.
+bool oriented_out(const std::vector<std::int64_t>& level, NodeId u, NodeId v) {
+  return level[u] < level[v] || (level[u] == level[v] && u < v);
+}
+
+}  // namespace
+
 BarenboimElkinOrientation::BarenboimElkinOrientation(NodeId alpha, double eps)
     : alpha_(alpha), eps_(eps), alpha_known_(true), guess_(alpha) {
   ARBODS_CHECK(alpha >= 1);
@@ -31,11 +40,13 @@ void BarenboimElkinOrientation::set_threshold_from_guess() {
 
 void BarenboimElkinOrientation::initialize(Network& net) {
   const NodeId n = net.num_nodes();
-  active_.assign(n, true);
+  active_.assign(n, 1);
   active_degree_.resize(n);
   level_.assign(n, -1);
   num_active_ = n;
-  for (NodeId v = 0; v < n; ++v) active_degree_[v] = net.degree(v);
+  full_sweep_ = true;
+  retired_.assign(static_cast<std::size_t>(net.num_workers()), WorkerCounter{});
+  net.for_nodes([&](NodeId v) { active_degree_[v] = net.degree(v); });
   // Phases needed once the guess reaches the true arboricity: the active
   // set shrinks by the factor 2/(2+eps) per phase.
   budget_per_guess_ =
@@ -47,25 +58,35 @@ void BarenboimElkinOrientation::initialize(Network& net) {
 }
 
 void BarenboimElkinOrientation::process_round(Network& net) {
-  const NodeId n = net.num_nodes();
   const std::int64_t phase = net.current_round();
-  // First absorb last round's retirement announcements, then decide from
-  // the updated local active degree, then broadcast one 1-bit flag.
-  for (NodeId v = 0; v < n; ++v) {
+  // Each node first absorbs last round's retirement announcements, then
+  // decides from the updated local active degree, then broadcasts one
+  // 1-bit flag. With the threshold unchanged, only a received flag can
+  // change a node's decision, so every round but round 1 and the one after
+  // a doubling visits just the nodes a flag reached.
+  auto step = [&](NodeId v) {
     for (const MessageView m : net.inbox(v)) {
       if (m.tag() == 0 && m.flag_at(1)) {
         ARBODS_CHECK(active_degree_[v] > 0);
         --active_degree_[v];
       }
     }
-  }
-  for (NodeId v = 0; v < n; ++v) {
     if (active_[v] && active_degree_[v] <= threshold_) {
-      active_[v] = false;
+      active_[v] = 0;
       level_[v] = phase;
-      --num_active_;
+      ++retired_[static_cast<std::size_t>(net.worker_index())].value;
       net.broadcast(v, Message::tagged(0).add_flag(true));
     }
+  };
+  if (full_sweep_) {
+    net.for_nodes(step);
+    full_sweep_ = false;
+  } else {
+    net.for_active_nodes(step);
+  }
+  for (WorkerCounter& r : retired_) {
+    num_active_ -= static_cast<NodeId>(r.value);
+    r.value = 0;
   }
   // Unknown alpha: when a guess exhausts its phase budget without emptying
   // the graph, the guess was too small — double it. (Every node detects
@@ -74,6 +95,7 @@ void BarenboimElkinOrientation::process_round(Network& net) {
     guess_ *= 2;
     set_threshold_from_guess();
     phase_budget_ = budget_per_guess_;
+    full_sweep_ = true;
   }
 }
 
@@ -84,11 +106,14 @@ bool BarenboimElkinOrientation::finished(const Network& net) const {
 
 void BarenboimElkinOrientation::publish(Network& net,
                                         protocol::PhaseContext& ctx) {
-  const Orientation o = extract_orientation(net.graph());
+  // Out-degrees straight off the CSR: no per-node adjacency vectors.
+  const Graph& g = net.graph();
+  ARBODS_CHECK(level_.size() == g.num_nodes());
   OrientationHandoff handoff;
-  handoff.out_degree.resize(net.num_nodes());
-  for (NodeId v = 0; v < net.num_nodes(); ++v)
-    handoff.out_degree[v] = o.out_degree(v);
+  handoff.out_degree.assign(g.num_nodes(), 0);
+  for (NodeId u = 0; u < g.num_nodes(); ++u)
+    for (const NodeId v : g.neighbors(u))
+      handoff.out_degree[u] += oriented_out(level_, u, v) ? 1 : 0;
   handoff.final_guess = guess_;
   ctx.put(std::move(handoff));
 }
@@ -98,10 +123,8 @@ Orientation BarenboimElkinOrientation::extract_orientation(
   ARBODS_CHECK(level_.size() == g.num_nodes());
   std::vector<std::vector<NodeId>> out(g.num_nodes());
   for (NodeId u = 0; u < g.num_nodes(); ++u) {
-    for (NodeId v : g.neighbors(u)) {
-      if (level_[u] < level_[v] || (level_[u] == level_[v] && u < v))
-        out[u].push_back(v);
-    }
+    for (NodeId v : g.neighbors(u))
+      if (oriented_out(level_, u, v)) out[u].push_back(v);
   }
   return Orientation(g, std::move(out));
 }

@@ -81,10 +81,16 @@ class BarenboimElkinOrientation final : public protocol::Phase {
   NodeId threshold_ = 0;
   std::int64_t phase_budget_ = 0;   // phases remaining for current guess
   std::int64_t budget_per_guess_ = 0;
-  std::vector<bool> active_;
+  // Set when the threshold changed since the last decision sweep (round 1
+  // and the round after each doubling): every node must be re-checked, not
+  // only the ones a retirement flag reached.
+  bool full_sweep_ = true;
+  NodeFlags active_;
   std::vector<NodeId> active_degree_;
   std::vector<std::int64_t> level_;
   NodeId num_active_ = 0;
+  // Per-worker retirement counts, reduced after each round's sweep.
+  std::vector<WorkerCounter> retired_;
 };
 
 /// Convenience wrapper: runs the algorithm on `g` (unit weights), returns

@@ -13,9 +13,15 @@
 
 namespace arbods {
 
+using detail::lane_used;
 using detail::maybe_shrink;
 
 namespace {
+
+// A lane header word: (epoch << 32) | used words (see detail::lane_used).
+std::uint64_t lane_header(std::uint32_t epoch, std::uint64_t used) {
+  return (std::uint64_t{epoch} << 32) | used;
+}
 
 // Which worker slot the current thread accounts sends/statistics to.
 // Worker threads set this for the duration of a run_index_chunks section;
@@ -240,22 +246,22 @@ int Network::deposit_encoded(EdgeSlot lane, const Message& m, NodeId sender) {
   // out of the single encode pass below.
   const std::size_t bound = wire_words_bound(m);
   std::uint64_t* lane_words = out_arena_->get() + lane_base_[lane];
-  std::uint64_t& len = lane_words[0];
+  const std::uint64_t len = lane_used(lane_words[0], out_epoch_);
   // Once a lane spills, later records must spill too or send order within
   // the lane would be lost.
   const bool spilled = lane_spilled(w, lane);
   const std::size_t cap = lane_base_[lane + 1] - lane_base_[lane] - 1;
   int bits = 0;
   if (!spilled && len + bound <= cap) {
-    // Encode straight into the lane. The length word is only committed
-    // after the cap check, so an oversized message throws with no side
-    // effects (words beyond the length are never read).
+    // Encode straight into the lane. The header is only committed after
+    // the cap check, so an oversized message throws with no side effects
+    // (words beyond the used length are never read).
     const std::size_t need = wire_encode(
         m, sender, size_model_, config_.quantize_reals, lane_words + 1 + len,
         &bits);
     check_cap(bits);
     if (len == 0) touched_out_[w].push_back(lane);
-    len += need;
+    lane_words[0] = lane_header(out_epoch_, len + need);
   } else {
     // Tight or spilled lane: encode into the worker scratch first, check,
     // then route through the ordinary word-deposit path.
@@ -268,13 +274,13 @@ int Network::deposit_encoded(EdgeSlot lane, const Message& m, NodeId sender) {
 void Network::deposit_words(std::size_t w, EdgeSlot lane,
                             const std::uint64_t* words, std::size_t nwords) {
   std::uint64_t* lane_words = out_arena_->get() + lane_base_[lane];
-  std::uint64_t& len = lane_words[0];
+  const std::uint64_t len = lane_used(lane_words[0], out_epoch_);
   const bool spilled = lane_spilled(w, lane);
   if (len == 0 && !spilled) touched_out_[w].push_back(lane);
   const std::size_t cap = lane_base_[lane + 1] - lane_base_[lane] - 1;
   if (!spilled && len + nwords <= cap) {
     std::copy_n(words, nwords, lane_words + 1 + len);
-    len += nwords;
+    lane_words[0] = lane_header(out_epoch_, len + nwords);
   } else {
     WorkerSpill& sp = spills_[w];
     if (sp.lane_marked.empty()) sp.lane_marked.assign(lane_receiver_.size(), 0);
@@ -321,7 +327,7 @@ void Network::broadcast(NodeId from, const Message& m) {
 
 InboxView Network::inbox(NodeId v) const {
   ARBODS_DCHECK(static_cast<std::size_t>(v) + 1 < offsets_.size());
-  return InboxView(in_arena_->get(), lane_base_.data(), offsets_[v],
+  return InboxView(in_arena_->get(), lane_base_.data(), in_epoch_, offsets_[v],
                    offsets_[v + 1], &size_model_, config_.quantize_reals);
 }
 
@@ -359,17 +365,36 @@ void Network::arm_into(WorkerCalendar& cal, NodeId v, std::int64_t round) {
   }
 }
 
-void Network::flip_buffers() {
-  // The in-buffer holds last round's (already consumed) messages; clear
-  // exactly the lanes that were written, then promote the out-buffer.
+std::uint32_t Network::fresh_epoch() {
+  if (epoch_ == std::numeric_limits<std::uint32_t>::max()) restart_epochs();
+  return ++epoch_;
+}
+
+void Network::restart_epochs() {
   std::uint64_t* in_words = in_arena_->get();
+  std::uint64_t* out_words = out_arena_->get();
+  for (std::size_t lane = 0; lane < lane_receiver_.size(); ++lane) {
+    std::uint64_t& in_header = in_words[lane_base_[lane]];
+    in_header = lane_header(1, lane_used(in_header, in_epoch_));
+    out_words[lane_base_[lane]] = 0;
+  }
+  in_epoch_ = 1;
+  epoch_ = 1;
+}
+
+void Network::flip_buffers() {
+  // The in-arena holds last round's (already consumed) messages. Nothing
+  // is cleared: promoting the out-arena carries its epoch over, and the
+  // demoted arena gets a fresh epoch, so every header it still holds reads
+  // as empty.
   for (auto& list : touched_in_) {
     touched_highwater_ = std::max(touched_highwater_, list.size());
-    for (const EdgeSlot lane : list) in_words[lane_base_[lane]] = 0;
     list.clear();
   }
   std::swap(in_arena_, out_arena_);
   std::swap(touched_in_, touched_out_);
+  in_epoch_ = out_epoch_;
+  out_epoch_ = fresh_epoch();
   // A timer bucket due in the round that just ended survives to the flip
   // only if the algorithm never consulted the active set this round (a
   // for_nodes-only stage). Carry its arms into the next round instead of
@@ -424,17 +449,21 @@ void Network::merge_spills_and_grow() {
     for (std::size_t j = ci; j < chunks.size() && chunks[j].lane == lane; ++j)
       extra += chunks[j].nwords;
     if (extra > 0) {
-      const std::size_t needed = 1 + old_in[lane_base_[lane]] + extra;
+      const std::size_t needed =
+          1 + lane_used(old_in[lane_base_[lane]], in_epoch_) + extra;
       cap = std::max(2 * cap, std::bit_ceil(needed));
+      ARBODS_CHECK_MSG(cap <= std::numeric_limits<std::uint32_t>::max(),
+                       "lane " << lane << " outgrew a 32-bit used length");
     }
     while (ci < chunks.size() && chunks[ci].lane == lane) ++ci;
     new_base[lane + 1] = new_base[lane] + cap;
   }
 
-  // Rebuild both arenas under the new layout: zero every length word, copy
-  // the in-side's resident regions (length + records), then append each
-  // lane's spill chunks in order. The out-side is empty at this point (the
-  // flip just zeroed and swapped it), so its lanes only need zero lengths.
+  // Rebuild both arenas under the new layout: zero every header, copy the
+  // in-side's resident records under a header stamped with the in-epoch,
+  // then append each lane's spill chunks in order. The out-side holds
+  // nothing current at this point (the flip just gave it a fresh epoch),
+  // so its lanes only need zero headers.
   const std::size_t new_words = new_base[arcs];
   auto new_in = std::make_unique_for_overwrite<std::uint64_t[]>(new_words);
   auto new_out = std::make_unique_for_overwrite<std::uint64_t[]>(new_words);
@@ -442,14 +471,19 @@ void Network::merge_spills_and_grow() {
     new_in[new_base[lane]] = 0;
     new_out[new_base[lane]] = 0;
   }
-  for (const auto& list : touched_in_)
-    for (const EdgeSlot lane : list)
-      std::copy_n(old_in + lane_base_[lane], 1 + old_in[lane_base_[lane]],
-                  new_in.get() + new_base[lane]);
+  for (const auto& list : touched_in_) {
+    for (const EdgeSlot lane : list) {
+      const std::uint64_t used = lane_used(old_in[lane_base_[lane]], in_epoch_);
+      new_in[new_base[lane]] = lane_header(in_epoch_, used);
+      std::copy_n(old_in + lane_base_[lane] + 1, used,
+                  new_in.get() + new_base[lane] + 1);
+    }
+  }
   for (const Chunk& c : chunks) {
-    std::uint64_t& len = new_in[new_base[c.lane]];
-    std::copy_n(c.src, c.nwords, new_in.get() + new_base[c.lane] + 1 + len);
-    len += c.nwords;
+    std::uint64_t& header = new_in[new_base[c.lane]];
+    const std::uint64_t used = lane_used(header, in_epoch_);
+    std::copy_n(c.src, c.nwords, new_in.get() + new_base[c.lane] + 1 + used);
+    header = lane_header(in_epoch_, used + c.nwords);
   }
   lane_base_ = std::move(new_base);
   arena_words_ = new_words;
@@ -517,14 +551,11 @@ void Network::rebuild_active_set() {
 }
 
 void Network::clear_all_lanes() {
-  for (auto& list : touched_in_) {
-    for (const EdgeSlot lane : list) (*in_arena_)[lane_base_[lane]] = 0;
-    list.clear();
-  }
-  for (auto& list : touched_out_) {
-    for (const EdgeSlot lane : list) (*out_arena_)[lane_base_[lane]] = 0;
-    list.clear();
-  }
+  // Fresh epochs for both arenas empty every lane at once.
+  for (auto& list : touched_in_) list.clear();
+  for (auto& list : touched_out_) list.clear();
+  in_epoch_ = fresh_epoch();
+  out_epoch_ = fresh_epoch();
   for (WorkerSpill& sp : spills_) {
     for (const SpillRec& r : sp.recs) sp.lane_marked[r.lane] = 0;
     sp.words.clear();

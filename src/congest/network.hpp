@@ -32,8 +32,15 @@
 //     worker pool (`CongestConfig::threads`) with no locks on the delivery
 //     path. Per-worker statistics slots and per-node RNG streams keep runs
 //     bit-identical regardless of thread count.
-//   * Only lanes actually written are cleared between rounds (tracked per
-//     worker), so a round costs O(delivered messages), not O(m).
+//   * No lane is ever cleared. A lane's header word carries a round stamp,
+//     (epoch << 32) | used words, and each arena has a current epoch; a
+//     header stamped with any other epoch reads as an empty lane. The flip
+//     swaps the arenas and hands the out-arena a fresh epoch, so it costs
+//     O(workers), not O(delivered messages), and reset_for_reuse and a
+//     phase boundary empty both arenas the same way. The epoch counter is
+//     monotonic per Network and survives resets; when its 32 bits run out
+//     it restarts at 1, re-stamping the live in-arena headers and zeroing
+//     the rest in place (one O(m) pass per 2^32 epochs, no allocation).
 //   * The simulator additionally maintains an *active set*: the nodes that
 //     received at least one message this round plus the nodes that called
 //     arm() last round. Event-driven algorithms route their loops through
@@ -212,6 +219,18 @@ struct alignas(64) WorkerCounter {
 
 class Network;
 
+namespace detail {
+
+/// Used words of the lane whose header is `header` — (epoch << 32) | used
+/// words — read in an arena whose current epoch is `epoch`: 0 unless the
+/// header carries that epoch.
+inline std::uint64_t lane_used(std::uint64_t header, std::uint32_t epoch) {
+  const std::uint64_t x = header ^ (std::uint64_t{epoch} << 32);
+  return (x >> 32) == 0 ? x : 0;
+}
+
+}  // namespace detail
+
 /// Base class for round-synchronous distributed algorithms.
 ///
 /// Contract: `initialize` and `process_round` must treat per-node state in
@@ -235,8 +254,9 @@ class DistributedAlgorithm {
 
 /// Iterable view over the messages delivered to one node this round: a
 /// cursor walk over the node's contiguous CSR lane regions in the arena,
-/// skipping empty lanes. Word 0 of every lane region is its used length
-/// (so length check and record read hit the same cache line); records
+/// skipping empty lanes. Word 0 of every lane region is its header, the
+/// used length stamped with the round's epoch (so length check and record
+/// read hit the same cache line; a stale stamp reads as empty); records
 /// start at word 1. Messages appear ordered by sender id (adjacency lists
 /// are sorted), with per-sender send order preserved within a lane.
 /// Dereferencing yields MessageView values; they (and the InboxView) are
@@ -276,7 +296,8 @@ class InboxView {
     }
     void settle() {
       while (lane_ != view_->end_lane_ &&
-             word_ >= view_->arena_[view_->lane_base_[lane_]]) {
+             word_ >= detail::lane_used(view_->arena_[view_->lane_base_[lane_]],
+                                        view_->epoch_)) {
         ++lane_;
         word_ = 0;
       }
@@ -303,13 +324,15 @@ class InboxView {
  private:
   friend class Network;
   InboxView(const std::uint64_t* arena, const std::uint64_t* lane_base,
-            std::size_t first_lane, std::size_t end_lane,
+            std::uint32_t epoch, std::size_t first_lane, std::size_t end_lane,
             const MessageSizeModel* model, bool quantized)
-      : arena_(arena), lane_base_(lane_base), first_lane_(first_lane),
-        end_lane_(end_lane), model_(model), quantized_(quantized) {}
+      : arena_(arena), lane_base_(lane_base), epoch_(epoch),
+        first_lane_(first_lane), end_lane_(end_lane), model_(model),
+        quantized_(quantized) {}
 
   const std::uint64_t* arena_;
   const std::uint64_t* lane_base_;
+  std::uint32_t epoch_;
   std::size_t first_lane_;
   std::size_t end_lane_;
   const MessageSizeModel* model_;
@@ -323,6 +346,8 @@ class FaultyNetwork;
 namespace resilience {
 class ReliableNetwork;
 }  // namespace resilience
+
+struct NetworkTestPeer;
 
 /// The round-synchronous simulator. Its two decorators,
 /// fault::FaultyNetwork and resilience::ReliableNetwork, derive from it
@@ -516,6 +541,7 @@ class Network {
  private:
   friend class fault::FaultyNetwork;
   friend class resilience::ReliableNetwork;
+  friend struct NetworkTestPeer;  // defined by tests only
 
   /// Lane index into the flat per-directed-edge buffers.
   using EdgeSlot = std::uint32_t;
@@ -570,6 +596,13 @@ class Network {
   /// plain ring store; called by run_phase after each round).
   void flight_note_round(const obs::FlightRecord& rec);
   void merge_spills_and_grow();
+  /// Next lane epoch from the monotonic counter. At the 32-bit limit it
+  /// first restarts the counter (restart_epochs), so the result is never
+  /// a stamp any lane still carries.
+  std::uint32_t fresh_epoch();
+  /// Counter restart: re-stamps the in-arena's live headers with epoch 1,
+  /// zeroes every other header of both arenas, and sets the counter to 1.
+  void restart_epochs();
   struct WorkerCalendar;
   void arm_into(WorkerCalendar& cal, NodeId v, std::int64_t round);
   /// Message widths + cap from the instance.
@@ -610,22 +643,30 @@ class Network {
   std::vector<NodeId> lane_receiver_;
 
   // Shared lane layout: lane l owns words [lane_base_[l], lane_base_[l+1])
-  // of both arenas; word 0 of the region is the lane's used length (same
-  // cache line as the records it guards — a deposit or inbox scan costs
-  // one memory touch per lane, not two), records follow from word 1.
+  // of both arenas; word 0 of the region is the lane's header (same cache
+  // line as the records it guards — a deposit or inbox scan costs one
+  // memory touch per lane, not two), records follow from word 1.
   // Double-buffered: the in-arena holds this round's deliveries, the
-  // out-arena collects next round's. Beyond the length words the storage
+  // out-arena collects next round's. Beyond the header words the storage
   // is deliberately *uninitialized* (every wire record fully initializes
-  // the words it claims, and the length word guards reads), so
-  // constructing a Network never pays an O(arena) zero-fill.
+  // the words it claims, and the header guards reads), so constructing a
+  // Network never pays an O(arena) zero-fill.
   std::vector<std::uint64_t> lane_base_;
   std::size_t arena_words_ = 0;
   std::unique_ptr<std::uint64_t[]> arena_a_, arena_b_;
   std::unique_ptr<std::uint64_t[]>* in_arena_ = nullptr;
   std::unique_ptr<std::uint64_t[]>* out_arena_ = nullptr;
+  // Lane epochs (see detail::lane_used): a header counts only in the
+  // arena whose current epoch it carries. epoch_ is the last value handed
+  // out (>= both arena epochs); headers are zeroed at construction and
+  // epoch 0 is never handed out, so a fresh arena reads empty.
+  std::uint32_t in_epoch_ = 1;
+  std::uint32_t out_epoch_ = 2;
+  std::uint32_t epoch_ = 2;
 
-  // Lanes written this round / holding this round's inbox, per worker, so
-  // a flip clears O(messages) lanes instead of O(m).
+  // Lanes written this round / holding this round's inbox, per worker: the
+  // active-set rebuild derives receivers from them and the spill merge
+  // copies the resident records they name.
   std::vector<std::vector<EdgeSlot>> touched_out_;
   std::vector<std::vector<EdgeSlot>> touched_in_;
 

@@ -50,7 +50,8 @@ std::uint64_t next_uint(std::istream& is, const char* what,
 // The "n m" header and m edge lines; the callers decide what may follow.
 Graph read_edge_list(std::istream& is) {
   constexpr std::uint64_t kMaxId = std::numeric_limits<NodeId>::max();
-  const auto n = static_cast<NodeId>(next_uint(is, "node count", kMaxId));
+  // Checked before anything O(n) is allocated.
+  const auto n = static_cast<NodeId>(next_uint(is, "node count", kMaxNodes));
   const std::uint64_t m =
       next_uint(is, "edge count", std::numeric_limits<std::uint64_t>::max());
   GraphBuilder b(n);

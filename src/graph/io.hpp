@@ -7,7 +7,7 @@
 //
 // The readers consume the whole stream and throw CheckError with the
 // offending token on malformed input: a negative or non-integer token
-// ("-1", "1x"), a node count past NodeId, an endpoint >= n, a self-loop,
+// ("-1", "1x"), a node count above kMaxNodes, an endpoint >= n, a self-loop,
 // fewer or more edge lines than the header's m, or trailing tokens.
 // Duplicate edge lines are accepted and collapse into one edge.
 #pragma once
@@ -19,6 +19,12 @@
 #include "graph/weighted_graph.hpp"
 
 namespace arbods {
+
+/// Largest node count the readers accept. A header above it is rejected
+/// before anything is allocated: "4000000000 0" fits NodeId, but building
+/// it would only end in an allocation failure. The CLI bounds --n by the
+/// same limit.
+inline constexpr NodeId kMaxNodes = 100'000'000;
 
 void write_graph(std::ostream& os, const Graph& g);
 Graph read_graph(std::istream& is);

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "arboricity/barenboim_elkin.hpp"
 #include "arboricity/core_decomposition.hpp"
@@ -15,6 +16,7 @@
 #include "gen/random_graphs.hpp"
 #include "gen/trees.hpp"
 #include "graph/stats.hpp"
+#include "protocol/phase.hpp"
 
 namespace arbods {
 namespace {
@@ -271,6 +273,114 @@ TEST(BarenboimElkin, LocalOutDegreeEstimates) {
   Orientation o = algo.extract_orientation(g);
   for (NodeId v = 0; v < g.num_nodes(); ++v)
     EXPECT_GE(est[v], o.out_degree(v));
+}
+
+// Barenboim–Elkin on the worker pool: the instances the benchmark solves
+// (ba3, forest2) plus a grid, small enough for the sanitizer jobs.
+struct BeInstance {
+  const char* name;
+  Graph g;
+  NodeId alpha;  // a valid arboricity promise for the known-alpha variant
+};
+
+std::vector<BeInstance> be_instances() {
+  Rng rng(41);
+  std::vector<BeInstance> out;
+  out.push_back({"ba3", gen::barabasi_albert(2000, 3, rng), 3});
+  out.push_back({"forest2", gen::k_tree_union(2000, 2, rng), 2});
+  out.push_back({"grid", gen::grid(40, 40), 2});
+  return out;
+}
+
+// Sequential reference peeling, written from the algorithm's definition:
+// in phase p every unretired node with at most floor((2+eps)*guess)
+// neighbors unretired before phase p retires at level p. The unknown-alpha
+// variant (alpha == 0) starts at guess 1 and doubles it whenever a budget
+// of 1 + ceil(log(n+1) / log((2+eps)/2)) phases leaves the graph nonempty.
+struct ReferencePeel {
+  std::vector<std::int64_t> levels;
+  NodeId final_guess = 0;
+  std::int64_t rounds = 0;
+};
+
+ReferencePeel reference_peel(const Graph& g, NodeId alpha, double eps) {
+  const NodeId n = g.num_nodes();
+  ReferencePeel ref;
+  ref.levels.assign(n, -1);
+  NodeId guess = alpha == 0 ? 1 : alpha;
+  const std::int64_t budget_per_guess =
+      1 + static_cast<std::int64_t>(
+              std::ceil(std::log(static_cast<double>(n) + 1.0) /
+                        std::log((2.0 + eps) / 2.0)));
+  std::int64_t budget = budget_per_guess;
+  std::vector<NodeId> degree(n);
+  for (NodeId v = 0; v < n; ++v) degree[v] = g.degree(v);
+  NodeId remaining = n;
+  std::vector<NodeId> retiring;
+  for (std::int64_t phase = 1; remaining > 0; ++phase) {
+    const auto threshold = static_cast<NodeId>(std::floor((2.0 + eps) * guess));
+    retiring.clear();
+    for (NodeId v = 0; v < n; ++v)
+      if (ref.levels[v] < 0 && degree[v] <= threshold) retiring.push_back(v);
+    for (const NodeId v : retiring) {
+      ref.levels[v] = phase;
+      for (const NodeId u : g.neighbors(v)) --degree[u];
+    }
+    remaining -= static_cast<NodeId>(retiring.size());
+    ref.rounds = phase;
+    if (alpha == 0 && remaining > 0 && --budget <= 0) {
+      guess *= 2;
+      budget = budget_per_guess;
+    }
+  }
+  ref.final_guess = guess;
+  return ref;
+}
+
+TEST(BarenboimElkin, MatchesSequentialPeelingAtEveryPoolWidth) {
+  for (const BeInstance& inst : be_instances()) {
+    const WeightedGraph wg = WeightedGraph::uniform(Graph(inst.g));
+    for (const NodeId alpha : {NodeId{0}, inst.alpha}) {
+      for (const double eps : {0.5, 1.0}) {
+        const ReferencePeel ref = reference_peel(inst.g, alpha, eps);
+        for (const int threads : {1, 4, 8}) {
+          CongestConfig cfg;
+          cfg.threads = threads;
+          Network net(wg, cfg);
+          auto algo = alpha == 0
+                          ? BarenboimElkinOrientation::with_unknown_alpha(eps)
+                          : BarenboimElkinOrientation(alpha, eps);
+          const RunStats stats = net.run(algo, 100000);
+          SCOPED_TRACE(::testing::Message()
+                       << inst.name << " alpha " << alpha << " eps " << eps
+                       << " threads " << threads);
+          ASSERT_FALSE(stats.hit_round_limit);
+          EXPECT_EQ(algo.levels(), ref.levels);
+          EXPECT_EQ(algo.final_guess(), ref.final_guess);
+          EXPECT_EQ(stats.rounds, ref.rounds);
+        }
+      }
+    }
+  }
+}
+
+// publish() counts out-degrees straight off the CSR; they must be the
+// out-degrees of the orientation extract_orientation builds.
+TEST(BarenboimElkin, HandoffOutDegreesMatchExtractedOrientation) {
+  for (const BeInstance& inst : be_instances()) {
+    const WeightedGraph wg = WeightedGraph::uniform(Graph(inst.g));
+    Network net(wg);
+    auto algo = BarenboimElkinOrientation::with_unknown_alpha(0.5);
+    ASSERT_FALSE(net.run(algo, 100000).hit_round_limit);
+    protocol::PhaseContext ctx;
+    algo.publish(net, ctx);
+    const auto& handoff = ctx.get<OrientationHandoff>();
+    const Orientation o = algo.extract_orientation(wg.graph());
+    ASSERT_EQ(handoff.out_degree.size(), wg.num_nodes()) << inst.name;
+    for (NodeId v = 0; v < wg.num_nodes(); ++v)
+      ASSERT_EQ(handoff.out_degree[v], o.out_degree(v)) << inst.name << " " << v;
+    EXPECT_EQ(handoff.final_guess, algo.final_guess());
+  }
 }
 
 }  // namespace

@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <limits>
 #include <utility>
 #include <vector>
 
@@ -13,6 +15,18 @@
 #include "gen/classic.hpp"
 
 namespace arbods {
+
+// Test-only access to the lane epoch counter (a friend of Network), so the
+// wrap test can start a Network a few epochs short of 2^32.
+struct NetworkTestPeer {
+  static std::uint32_t epoch(const Network& net) { return net.epoch_; }
+  /// The next epoch handed out is epoch + 1. Only between runs, and only
+  /// forward: no lane may already carry a stamp above `epoch`.
+  static void set_epoch(Network& net, std::uint32_t epoch) {
+    net.epoch_ = epoch;
+  }
+};
+
 namespace {
 
 // ---------------------------------------------------------------- messages
@@ -536,6 +550,243 @@ TEST(Network, LaneOverflowSpillsAndRegrowsPreservingOrder) {
     const RunStats stats = net.run(algo, 10);
     EXPECT_EQ(algo.checked_rounds, 3);
     EXPECT_EQ(stats.messages, 27);
+  }
+}
+
+// ------------------------------------------------------------ lane epochs
+
+// Every node sends to each neighbor on a pseudo-random schedule: in round
+// s, 0, 1 or 2 records carrying s on arc v->u, so every lane mixes traffic
+// with silent rounds on both double-buffer parities, and the last round's
+// records are still in flight when the run ends. Each receiver checks that
+// its inbox holds exactly the records sent to it last round, and the
+// inboxes fold into one digest per round. `salt` picks another schedule.
+class LanePattern final : public DistributedAlgorithm {
+ public:
+  explicit LanePattern(std::int64_t rounds, std::uint64_t salt = 0)
+      : rounds_(rounds), salt_(salt) {}
+
+  std::vector<std::uint64_t> digests;  // one per round
+  std::int64_t bad_nodes = 0;          // inboxes that differed from the sends
+
+  int copies(NodeId from, NodeId to, std::int64_t round) const {
+    std::uint64_t x = (std::uint64_t{from} << 40) ^ (std::uint64_t{to} << 16) ^
+                      static_cast<std::uint64_t>(round) ^ (salt_ << 56);
+    x *= 0x9e3779b97f4a7c15ULL;
+    x ^= x >> 29;
+    return static_cast<int>(x % 3);
+  }
+
+  void initialize(Network& net) override {
+    digests.clear();
+    bad_nodes = 0;
+    node_digest_.assign(net.num_nodes(), 0);
+    node_bad_.assign(net.num_nodes(), 0);
+    net.for_nodes([&](NodeId v) { send_all(net, v, 0); });
+  }
+
+  void process_round(Network& net) override {
+    const std::int64_t r = net.current_round();
+    net.for_nodes([&](NodeId v) {
+      std::uint64_t h = 0;
+      std::int64_t got = 0;
+      for (const MessageView m : net.inbox(v)) {
+        if (m.level_at(1) != r - 1) node_bad_[v] = 1;
+        h = h * 1000003 + std::uint64_t{m.sender()} * 31 +
+            static_cast<std::uint64_t>(m.tag());
+        ++got;
+      }
+      std::int64_t want = 0;
+      for (const NodeId u : net.neighbors(v)) want += copies(u, v, r - 1);
+      if (got != want) node_bad_[v] = 1;
+      node_digest_[v] = h;
+      send_all(net, v, r);
+    });
+    std::uint64_t d = 0xcbf29ce484222325ULL;
+    for (NodeId v = 0; v < net.num_nodes(); ++v) {
+      d = (d ^ node_digest_[v]) * 0x100000001b3ULL;
+      bad_nodes += node_bad_[v];
+      node_bad_[v] = 0;
+    }
+    digests.push_back(d);
+  }
+
+  bool finished(const Network& net) const override {
+    return net.current_round() >= rounds_;
+  }
+
+ private:
+  void send_all(Network& net, NodeId v, std::int64_t round) const {
+    for (const NodeId u : net.neighbors(v))
+      for (int c = 0; c < copies(v, u, round); ++c)
+        net.send(v, u, Message::tagged(c).add_level(round));
+  }
+
+  std::int64_t rounds_;
+  std::uint64_t salt_;
+  std::vector<std::uint64_t> node_digest_;
+  std::vector<std::uint8_t> node_bad_;
+};
+
+// Sends nothing; counts every record and active node it sees (rounds 1 and
+// 2 read one arena each).
+class SilentProbe final : public DistributedAlgorithm {
+ public:
+  explicit SilentProbe(std::int64_t rounds = 2) : rounds_(rounds) {}
+  std::int64_t seen = 0;
+  void initialize(Network& net) override {
+    (void)net;
+    seen = 0;
+  }
+  void process_round(Network& net) override {
+    seen += static_cast<std::int64_t>(net.active_nodes().size());
+    for (NodeId v = 0; v < net.num_nodes(); ++v)
+      seen += static_cast<std::int64_t>(net.inbox(v).size());
+  }
+  bool finished(const Network& net) const override {
+    return net.current_round() >= rounds_;
+  }
+
+ private:
+  std::int64_t rounds_;
+};
+
+std::int64_t records_visible(const Network& net) {
+  std::int64_t n = 0;
+  for (NodeId v = 0; v < net.num_nodes(); ++v)
+    n += static_cast<std::int64_t>(net.inbox(v).size());
+  return n;
+}
+
+// The double-buffer aliasing case: a lane written in round r and silent in
+// round r+1 must read empty in round r+2, although the arena read in r+2
+// still holds whatever that lane carried in round r-1. LanePattern checks
+// every inbox against exactly last round's sends.
+TEST(Network, LaneSilentForARoundReadsEmpty) {
+  auto wg = WeightedGraph::uniform(gen::grid(7, 6));
+  for (const int threads : {1, 4}) {
+    CongestConfig cfg;
+    cfg.threads = threads;
+    Network net(wg, cfg);
+    LanePattern algo(12);
+    const RunStats stats = net.run(algo, 20);
+    EXPECT_EQ(stats.rounds, 12);
+    EXPECT_EQ(algo.bad_nodes, 0) << "threads " << threads;
+  }
+
+  // The minimal case on one edge: records sent in rounds 0 and 3 only.
+  class OnOff final : public DistributedAlgorithm {
+   public:
+    std::vector<std::size_t> sizes;
+    void initialize(Network& net) override {
+      net.send(0, 1, Message::tagged(1));
+    }
+    void process_round(Network& net) override {
+      sizes.push_back(net.inbox(1).size());
+      if (net.current_round() == 3) net.send(0, 1, Message::tagged(2));
+    }
+    bool finished(const Network& net) const override {
+      return net.current_round() >= 6;
+    }
+  };
+  auto edge = WeightedGraph::uniform(gen::path(2));
+  Network net(edge);
+  OnOff algo;
+  net.run(algo, 10);
+  EXPECT_EQ(algo.sizes, (std::vector<std::size_t>{1, 0, 0, 1, 0, 0}));
+}
+
+// reset_for_reuse and a run_phase boundary leave no record of the previous
+// run or phase visible in either arena — also when that run ended right
+// after a spill regrow or with spilled records never merged.
+TEST(Network, NoRecordSurvivesResetOrPhaseBoundary) {
+  auto wg = WeightedGraph::uniform(gen::grid(7, 6));
+  for (const int threads : {1, 4}) {
+    for (const int hint : {0, 1}) {
+      // rounds = 1: the run ends right after the first flip's regrow (hint
+      // 1 spills every record); longer runs end with records in flight.
+      for (const std::int64_t rounds : {1, 2, 5}) {
+        CongestConfig cfg;
+        cfg.threads = threads;
+        cfg.lane_capacity_words_hint = hint;
+        Network net(wg, cfg);
+        const std::size_t initial_words = net.arena_words();
+        LanePattern pattern(rounds);
+        net.run(pattern, 20);
+        ASSERT_EQ(pattern.bad_nodes, 0);
+        ASSERT_GT(records_visible(net), 0);
+        if (hint == 1) {
+          ASSERT_GT(net.arena_words(), initial_words) << "lanes regrew";
+        }
+        net.reset_for_reuse();
+        EXPECT_EQ(records_visible(net), 0) << "after reset_for_reuse";
+        SilentProbe probe;
+        net.run_phase(probe, "after-reset");
+        EXPECT_EQ(probe.seen, 0);
+
+        net.reset_for_reuse();
+        net.run_phase(pattern, "pattern");
+        ASSERT_EQ(pattern.bad_nodes, 0);
+        SilentProbe next;
+        net.run_phase(next, "next");
+        EXPECT_EQ(next.seen, 0) << "across the phase boundary";
+        EXPECT_EQ(net.stats().phases.back().messages, 0);
+      }
+    }
+  }
+}
+
+// The 32-bit epoch counter wraps without a visible trace: a Network whose
+// counter starts k epochs short of 2^32 (with stale headers of an earlier
+// run on another schedule in both arenas) restarts it during reset, at a
+// phase start, or
+// between rounds with records in flight, and produces the same inboxes and
+// RunStats as a fresh Network — on the run that wraps and the run after.
+TEST(Network, LaneEpochWrapIsInvisible) {
+  auto wg = WeightedGraph::uniform(gen::grid(7, 6));
+  constexpr std::uint32_t kMax = std::numeric_limits<std::uint32_t>::max();
+  for (const int threads : {1, 4}) {
+    for (const int hint : {0, 1}) {
+      CongestConfig cfg;
+      cfg.threads = threads;
+      cfg.lane_capacity_words_hint = hint;
+      Network fresh(wg, cfg);
+      LanePattern ref(40);
+      const RunStats ref_stats = fresh.run(ref, 50);
+      ASSERT_EQ(ref.bad_nodes, 0);
+
+      // run() takes two epochs in reset_for_reuse, two at the phase start,
+      // then one per flip: k = 0..3 wrap before round 1, k >= 4 mid-run.
+      for (const std::uint32_t k : {0u, 1u, 2u, 3u, 4u, 5u, 8u}) {
+        // A silent run across the restart: its epochs climb back through
+        // the warm-up's stale stamps, which the restart must have erased.
+        {
+          Network net(wg, cfg);
+          LanePattern warm(30, /*salt=*/1);
+          net.run(warm, 50);
+          NetworkTestPeer::set_epoch(net, kMax - k);
+          SilentProbe quiet(40);
+          net.run(quiet, 50);
+          EXPECT_LT(NetworkTestPeer::epoch(net), kMax - k) << "k " << k;
+          EXPECT_EQ(quiet.seen, 0) << "k " << k;
+        }
+
+        Network net(wg, cfg);
+        LanePattern warm(30, /*salt=*/1);
+        net.run(warm, 50);
+        NetworkTestPeer::set_epoch(net, kMax - k);
+        LanePattern algo(40);
+        const RunStats stats = net.run(algo, 50);
+        EXPECT_LT(NetworkTestPeer::epoch(net), kMax - k) << "k " << k;
+        EXPECT_EQ(algo.bad_nodes, 0) << "k " << k;
+        EXPECT_EQ(algo.digests, ref.digests) << "k " << k;
+        EXPECT_EQ(stats, ref_stats) << "k " << k;
+
+        LanePattern again(40);
+        EXPECT_EQ(net.run(again, 50), ref_stats) << "k " << k;
+        EXPECT_EQ(again.digests, ref.digests) << "k " << k;
+      }
+    }
   }
 }
 

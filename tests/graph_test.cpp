@@ -312,6 +312,8 @@ TEST(Io, MalformedInputTableRejectsEachCaseWithItsMessage) {
        "node count '4294967299' is out of range"},
       {"n = 10^12", with_line(0, "1000000000000 " + m_str),
        "node count '1000000000000' is out of range"},
+      {"n fits NodeId but exceeds kMaxNodes", with_line(0, "4000000000 0"),
+       "node count '4000000000' is out of range (max 100000000)"},
       {"trailing junk in an id", with_line(1, "0 1x"),
        "edge endpoint '1x' is not an integer"},
       {"negative id", with_line(1, "-1 2"), "edge endpoint '-1' is negative"},
