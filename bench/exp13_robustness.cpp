@@ -130,7 +130,7 @@ int run(int argc, char** argv) {
     double weight_ratio_sum = 0.0;
     double extra_rounds_sum = 0.0;
     int compared = 0;
-    std::int64_t dropped = 0, duplicated = 0, delayed = 0, killed = 0;
+    obs::Counters counters;  // only the fault tallies are reported
     int cells = 0, failed = 0, limited = 0;
   };
   std::map<std::pair<std::string, std::string>, Envelope> envelopes;
@@ -141,10 +141,7 @@ int run(int argc, char** argv) {
       ++env.failed;
       continue;
     }
-    env.dropped += row.result.stats.dropped;
-    env.duplicated += row.result.stats.duplicated;
-    env.delayed += row.result.stats.delayed;
-    env.killed += row.result.stats.killed;
+    env.counters += row.result.stats;
     if (row.result.stats.hit_round_limit) ++env.limited;
     const auto it = clean.find(cell_key(row));
     if (it != clean.end() && it->second.first > 0.0) {
@@ -164,9 +161,11 @@ int run(int argc, char** argv) {
     const double extra =
         env.compared > 0 ? env.extra_rounds_sum / env.compared : 0.0;
     table.add_row({key.first, key.second, Table::fmt_int(env.cells), Table::fmt(ratio, 4),
-                   Table::fmt(extra, 1), Table::fmt_int(env.dropped),
-                   Table::fmt_int(env.duplicated), Table::fmt_int(env.delayed),
-                   Table::fmt_int(env.killed), Table::fmt_int(env.limited),
+                   Table::fmt(extra, 1), Table::fmt_int(env.counters.dropped),
+                   Table::fmt_int(env.counters.duplicated),
+                   Table::fmt_int(env.counters.delayed),
+                   Table::fmt_int(env.counters.killed),
+                   Table::fmt_int(env.limited),
                    Table::fmt_int(env.failed)});
   }
   std::cerr << "\nExperiment 13: robustness envelopes (weight_vs_clean = "

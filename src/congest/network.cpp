@@ -6,6 +6,7 @@
 #include <limits>
 #include <thread>
 #include <type_traits>
+#include <utility>
 
 #include "common/check.hpp"
 #include "common/math_util.hpp"
@@ -211,10 +212,7 @@ void Network::check_cap(int bits) const {
 }
 
 void Network::account_bits(int bits) {
-  WorkerStats& slot = worker_stats_[worker_slot()];
-  ++slot.messages;
-  slot.total_bits += bits;
-  slot.max_message_bits = std::max(slot.max_message_bits, bits);
+  worker_stats_[worker_slot()].count_sends(1, bits);
 }
 
 std::size_t Network::worker_slot() const {
@@ -318,11 +316,7 @@ void Network::broadcast(NodeId from, const Message& m) {
   const std::size_t need = encode_into_scratch(w, m, from, &bits);
   for (std::size_t arc = begin; arc != end; ++arc)
     deposit_words(w, mirror_[arc], scratch_[w].data(), need);
-  const std::int64_t fanout = static_cast<std::int64_t>(end - begin);
-  WorkerStats& slot = worker_stats_[w];
-  slot.messages += fanout;
-  slot.total_bits += bits * fanout;
-  slot.max_message_bits = std::max(slot.max_message_bits, bits);
+  worker_stats_[w].count_sends(static_cast<std::int64_t>(end - begin), bits);
 }
 
 InboxView Network::inbox(NodeId v) const {
@@ -592,24 +586,19 @@ void Network::shrink_scratch() {
   }
 }
 
-void Network::reduce_stats() {
+obs::RoundRecord Network::reduce_stats(PhaseStats& phase) {
+  obs::RoundRecord rec = std::exchange(open_round_, {});
   for (WorkerStats& slot : worker_stats_) {
-    stats_.messages += slot.messages;
-    stats_.total_bits += slot.total_bits;
-    stats_.max_message_bits =
-        std::max(stats_.max_message_bits, slot.max_message_bits);
-    phase_max_message_bits_ =
-        std::max(phase_max_message_bits_, slot.max_message_bits);
-    stats_.dropped += slot.dropped;
-    stats_.duplicated += slot.duplicated;
-    stats_.delayed += slot.delayed;
-    stats_.killed += slot.killed;
+    rec += slot;
     slot = WorkerStats{};
   }
+  phase += rec;
+  stats_ += rec;
   // int64 gives headroom of ~9e18 bits; a wrap would show up as a sign
   // flip, which we refuse to silently report.
   ARBODS_CHECK_MSG(stats_.messages >= 0 && stats_.total_bits >= 0,
                    "RunStats counter overflow");
+  return rec;
 }
 
 void Network::run_index_chunks(
@@ -642,8 +631,8 @@ void Network::run_index_chunks(
 void Network::reset_for_reuse() {
   stats_ = RunStats{};
   for (WorkerStats& slot : worker_stats_) slot = WorkerStats{};
+  open_round_ = {};
   round_ = 0;
-  phase_max_message_bits_ = 0;
   touched_highwater_ = 0;
   armed_highwater_ = 0;
   active_highwater_ = 0;
@@ -666,32 +655,28 @@ const PhaseStats& Network::run_phase(DistributedAlgorithm& algo,
   // messages from the previous phase are dropped, matching the old
   // drivers' per-phase Networks; statistics counted them at send time.
   round_ = 0;
-  // Discard per-worker stat deltas that a mid-round exception left
-  // unreduced (e.g. a solver CheckError before a `<solver>+repair` retry):
-  // which nodes ran before the throw depends on worker scheduling, so
-  // folding the partial round in would make this phase's counters vary
-  // with the pool width. Every completed round was already reduced; only
-  // the aborted round's partial accounting is dropped. A no-op after a
-  // phase that finished normally.
+  // Discard the open round that a mid-round exception left unreduced
+  // (e.g. a solver CheckError before a `<solver>+repair` retry): which
+  // nodes ran before the throw depends on worker scheduling, so folding
+  // the partial round in would make this phase's counters vary with the
+  // pool width. Every completed round was already folded into stats_;
+  // only the aborted round's partial accounting is dropped. A no-op
+  // after a phase that finished normally.
   for (WorkerStats& slot : worker_stats_) slot = WorkerStats{};
+  open_round_ = {};
   clear_all_lanes();
   reseed_node_rngs();
   rng_streams_fresh_ = false;  // this phase now owns (and advances) them
-  const std::int64_t messages_before = stats_.messages;
-  const std::int64_t bits_before = stats_.total_bits;
-  const std::int64_t dropped_before = stats_.dropped;
-  const std::int64_t duplicated_before = stats_.duplicated;
-  const std::int64_t delayed_before = stats_.delayed;
-  const std::int64_t killed_before = stats_.killed;
-  phase_max_message_bits_ = 0;
-  std::int64_t phase_rounds = 0;
-  bool hit_limit = false;
   // The config's hard cap composes with the caller's budget (smaller wins)
   // so a fault-starved solver terminates via hit_round_limit.
   if (config_.round_limit > 0)
     max_rounds = std::min(max_rounds, config_.round_limit);
 
-  const obs::TimingStats timing_before = stats_.timing;
+  // The open phase: each closed round folds into it and into stats_ at
+  // once, so a phase that throws leaves its completed rounds in stats()
+  // but appends no entry.
+  PhaseStats phase;
+  phase.name.assign(phase_name);
   // Flight recorder: (re)size the ring once per phase — the per-round
   // writes below are plain ring stores, preserving the zero-allocation
   // guarantee of a steady-state round.
@@ -714,13 +699,13 @@ const PhaseStats& Network::run_phase(DistributedAlgorithm& algo,
     const std::int64_t t0 = phase_t0;
     algo.initialize(*this);
     const std::int64_t t1 = obs::monotonic_ns();
-    stats_.timing.compute_seconds += static_cast<double>(t1 - t0) * 1e-9;
+    open_round_.timing.compute_seconds += static_cast<double>(t1 - t0) * 1e-9;
     if (tracer_ != nullptr) tracer_->record(0, "initialize", t0, t1);
   }
-  reduce_stats();
+  reduce_stats(phase);
   while (!algo.finished(*this)) {
-    if (phase_rounds >= max_rounds) {
-      hit_limit = true;
+    if (phase.rounds >= max_rounds) {
+      phase.hit_round_limit = true;
       stats_.hit_round_limit = true;
       break;
     }
@@ -728,80 +713,49 @@ const PhaseStats& Network::run_phase(DistributedAlgorithm& algo,
       const std::int64_t t0 = obs::monotonic_ns();
       flip_buffers();
       const std::int64_t t1 = obs::monotonic_ns();
-      stats_.timing.flip_seconds += static_cast<double>(t1 - t0) * 1e-9;
+      open_round_.timing.flip_seconds += static_cast<double>(t1 - t0) * 1e-9;
       if (tracer_ != nullptr) tracer_->record(0, "flip", t0, t1);
     }
     ++round_;
     ++stats_.rounds;
-    ++phase_rounds;
-    obs::FlightRecord before;
-    if (flight_cap > 0) {
-      before.delivered = stats_.messages;
-      before.bits = stats_.total_bits;
-      before.dropped = stats_.dropped;
-      before.duplicated = stats_.duplicated;
-      before.delayed = stats_.delayed;
-      before.killed = stats_.killed;
-    }
+    ++phase.rounds;
     {
       const std::int64_t t0 = obs::monotonic_ns();
       algo.process_round(*this);
       const std::int64_t t1 = obs::monotonic_ns();
-      stats_.timing.compute_seconds += static_cast<double>(t1 - t0) * 1e-9;
+      open_round_.timing.compute_seconds +=
+          static_cast<double>(t1 - t0) * 1e-9;
       if (tracer_ != nullptr) tracer_->record(0, "round", t0, t1, round_);
     }
-    reduce_stats();
+    const obs::RoundRecord rec = reduce_stats(phase);
     if (flight_cap > 0) {
-      obs::FlightRecord rec;
-      rec.round = round_;
+      obs::FlightRecord& line = flight_ring_[flight_next_];
+      static_cast<obs::RoundRecord&>(line) = rec;
+      line.round = round_;
       // Never force a rebuild here: it would drain due timer buckets the
       // next flip should carry forward (behavior change). -1 = the
       // algorithm did not consult the active set this round.
-      rec.active = active_dirty_
-                       ? -1
-                       : static_cast<std::int64_t>(active_list_.size());
-      rec.delivered = stats_.messages - before.delivered;
-      rec.bits = stats_.total_bits - before.bits;
+      line.active = active_dirty_
+                        ? -1
+                        : static_cast<std::int64_t>(active_list_.size());
+      line.spilled = 0;
       for (const WorkerSpill& sp : spills_)  // awaiting the next merge
-        rec.spilled += static_cast<std::int64_t>(sp.recs.size());
-      rec.dropped = stats_.dropped - before.dropped;
-      rec.duplicated = stats_.duplicated - before.duplicated;
-      rec.delayed = stats_.delayed - before.delayed;
-      rec.killed = stats_.killed - before.killed;
-      flight_note_round(rec);
+        line.spilled += static_cast<std::int64_t>(sp.recs.size());
+      flight_next_ = (flight_next_ + 1) % flight_cap;
+      if (flight_count_ < flight_cap) ++flight_count_;
     }
   }
   shrink_scratch();
   if (tracer_ != nullptr)
     tracer_->record(0, phase_span, phase_t0, obs::monotonic_ns());
-  if (hit_limit && flight_count_ > 0) {
+  if (phase.hit_round_limit && flight_count_ > 0) {
     std::string why = "phase '";
     why += phase_name;
     why += "' hit its round limit";
     dump_flight_recorder(std::cerr, why);
   }
-
-  PhaseStats ps;
-  ps.name.assign(phase_name);
-  ps.rounds = phase_rounds;
-  ps.messages = stats_.messages - messages_before;
-  ps.total_bits = stats_.total_bits - bits_before;
-  ps.max_message_bits = phase_max_message_bits_;
-  ps.hit_round_limit = hit_limit;
-  ps.dropped = stats_.dropped - dropped_before;
-  ps.duplicated = stats_.duplicated - duplicated_before;
-  ps.delayed = stats_.delayed - delayed_before;
-  ps.killed = stats_.killed - killed_before;
-  ps.timing = stats_.timing - timing_before;
-  stats_.phases.push_back(std::move(ps));
+  stats_.phases.push_back(std::move(phase));
   return stats_.phases.back();
-}
-
-void Network::flight_note_round(const obs::FlightRecord& rec) {
-  if (flight_ring_.empty()) return;
-  flight_ring_[flight_next_] = rec;
-  flight_next_ = (flight_next_ + 1) % flight_ring_.size();
-  if (flight_count_ < flight_ring_.size()) ++flight_count_;
 }
 
 std::vector<obs::FlightRecord> Network::flight_records() const {

@@ -149,63 +149,27 @@ void validate_config(const CongestConfig& config, NodeId n);
 
 /// One named phase's share of a run: every run_phase() call appends one
 /// entry to RunStats::phases, so composed protocols get a per-phase
-/// rounds/messages/bits breakdown for free. The sum over phases equals
-/// the whole-run totals (tested for every registry solver).
-struct PhaseStats {
+/// rounds/messages/bits breakdown for free. Its counters and timing are
+/// the fold of the phase's round records (obs::RoundRecord), and the
+/// run's are the fold of the same records, so the sum over phases equals
+/// the whole-run totals by construction (tested for every registry
+/// solver). The timing breakdown is NOT part of operator==.
+struct PhaseStats : obs::RoundRecord {
   std::string name;
   std::int64_t rounds = 0;
-  std::int64_t messages = 0;
-  std::int64_t total_bits = 0;
-  int max_message_bits = 0;
   bool hit_round_limit = false;
-  // Fault-injection tallies (always 0 on a clean simulator); see
-  // fault/faulty_network.hpp for exactly what each one counts.
-  std::int64_t dropped = 0;
-  std::int64_t duplicated = 0;
-  std::int64_t delayed = 0;
-  std::int64_t killed = 0;
-  /// Wall-clock breakdown for this phase (always measured). NOT part of
-  /// operator== — the determinism and differential suites compare
-  /// logical results, and timing can never be bit-stable.
-  obs::TimingStats timing;
 
-  friend bool operator==(const PhaseStats& a, const PhaseStats& b) {
-    return a.name == b.name && a.rounds == b.rounds &&
-           a.messages == b.messages && a.total_bits == b.total_bits &&
-           a.max_message_bits == b.max_message_bits &&
-           a.hit_round_limit == b.hit_round_limit && a.dropped == b.dropped &&
-           a.duplicated == b.duplicated && a.delayed == b.delayed &&
-           a.killed == b.killed;
-  }
+  friend bool operator==(const PhaseStats&, const PhaseStats&) = default;
 };
 
-struct RunStats {
-  std::int64_t rounds = 0;            // process_round invocations
-  std::int64_t messages = 0;          // per-edge message deliveries
-  std::int64_t total_bits = 0;        // sum of message widths
-  int max_message_bits = 0;           // widest single message observed
+struct RunStats : obs::RoundRecord {
+  std::int64_t rounds = 0;  // process_round invocations
   bool hit_round_limit = false;
-  // Fault-injection tallies; each equals the sum of its per-phase
-  // counterparts (tested), and all stay 0 on a clean simulator.
-  std::int64_t dropped = 0;           // records discarded in flight
-  std::int64_t duplicated = 0;        // adversarial extra copies injected
-  std::int64_t delayed = 0;           // copies held >= 1 extra round
-  std::int64_t killed = 0;            // records suppressed by dead endpoints
   /// Per-phase breakdown, one entry per run_phase() call (a plain run()
   /// is a single phase named "main").
   std::vector<PhaseStats> phases;
-  /// Whole-run wall-clock breakdown (the sum of the per-phase timings).
-  /// NOT part of operator== — see PhaseStats::timing.
-  obs::TimingStats timing;
 
-  friend bool operator==(const RunStats& a, const RunStats& b) {
-    return a.rounds == b.rounds && a.messages == b.messages &&
-           a.total_bits == b.total_bits &&
-           a.max_message_bits == b.max_message_bits &&
-           a.hit_round_limit == b.hit_round_limit && a.dropped == b.dropped &&
-           a.duplicated == b.duplicated && a.delayed == b.delayed &&
-           a.killed == b.killed && a.phases == b.phases;
-  }
+  friend bool operator==(const RunStats&, const RunStats&) = default;
 };
 
 /// Per-worker cache-line-padded counter for algorithms that must maintain
@@ -501,13 +465,14 @@ class Network {
   obs::TraceRecorder* tracer() const { return tracer_.get(); }
 
   /// Accounts wall-clock spent in the reliable-transport receive /
-  /// transmit passes into stats().timing (resilience::ReliablePhase
-  /// calls this; the passes run outside the Network's own seams).
-  /// The passes run inside an initialize/process_round interval, so the
-  /// time moves out of compute: the timing columns stay disjoint.
+  /// transmit passes into the open round's record, and so into the
+  /// phase's and the run's timing (resilience::ReliablePhase calls this;
+  /// the passes run outside the Network's own seams). The passes run
+  /// inside an initialize/process_round interval, so the time moves out
+  /// of compute: the timing columns stay disjoint.
   void account_retransmit_seconds(double s) {
-    stats_.timing.retransmit_seconds += s;
-    stats_.timing.compute_seconds -= s;
+    open_round_.timing.retransmit_seconds += s;
+    open_round_.timing.compute_seconds -= s;
   }
 
   /// Flight-recorder contents: the last min(flight_rounds, rounds run)
@@ -546,16 +511,10 @@ class Network {
   /// Lane index into the flat per-directed-edge buffers.
   using EdgeSlot = std::uint32_t;
 
-  struct alignas(64) WorkerStats {
-    std::int64_t messages = 0;
-    std::int64_t total_bits = 0;
-    int max_message_bits = 0;
-    // Fault tallies; only a FaultyNetwork's slots ever see nonzero values.
-    std::int64_t dropped = 0;
-    std::int64_t duplicated = 0;
-    std::int64_t delayed = 0;
-    std::int64_t killed = 0;
-  };
+  /// One worker's share of the open round; reduce_stats() sums the slots
+  /// into the round's record. Only a FaultyNetwork's slots ever see
+  /// nonzero fault tallies.
+  struct alignas(64) WorkerStats : obs::Counters {};
 
   /// One worker's overflow storage: whole wire records that did not fit
   /// their lane region this round, merged back (and the lane regrown) at
@@ -592,9 +551,6 @@ class Network {
   void ensure_active_set() {
     if (active_dirty_) rebuild_active_set();
   }
-  /// Appends one flight-recorder line for the round just processed (a
-  /// plain ring store; called by run_phase after each round).
-  void flight_note_round(const obs::FlightRecord& rec);
   void merge_spills_and_grow();
   /// Next lane epoch from the monotonic counter. At the 32-bit limit it
   /// first restarts the counter (restart_epochs), so the result is never
@@ -627,7 +583,10 @@ class Network {
   void deposit_words(std::size_t worker, EdgeSlot lane,
                      const std::uint64_t* words, std::size_t nwords);
   bool lane_spilled(std::size_t worker, EdgeSlot lane) const;
-  void reduce_stats();
+  /// Closes the open round: sums the worker slots into its record
+  /// (zeroing them), folds the record into `phase` and the run totals,
+  /// and returns it. The next round's record starts from zero.
+  obs::RoundRecord reduce_stats(PhaseStats& phase);
 
   const WeightedGraph* wg_;
   CongestConfig config_;
@@ -723,10 +682,10 @@ class Network {
   // two. Driver-thread only.
   bool rng_streams_fresh_ = false;
   RunStats stats_;
-  // Widest message observed since the current phase opened (the totals'
-  // max is not decomposable into per-phase deltas, so it is tracked
-  // separately alongside the per-round reduction).
-  int phase_max_message_bits_ = 0;
+  // The open round's record: its timing accrues here while the round
+  // runs (run_phase, account_retransmit_seconds), its counters are
+  // reduced from the worker slots when it closes.
+  obs::RoundRecord open_round_;
 
   // Span recorder (obs/trace.hpp), owned when config.trace.enabled.
   // Null = tracing off.

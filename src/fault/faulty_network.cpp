@@ -82,9 +82,7 @@ void FaultyNetwork::inject_record(std::size_t w, NodeId from,
     ++ws.killed;
     return;
   }
-  ++ws.messages;
-  ws.total_bits += bits;
-  ws.max_message_bits = std::max(ws.max_message_bits, bits);
+  ws.count_sends(1, bits);
 
   // Per-(arc, round) record index: together with the arc and round it
   // names this record uniquely, and the arc's tail is its only writer.

@@ -3,6 +3,8 @@
 #include <array>
 #include <cmath>
 #include <sstream>
+#include <string>
+#include <utility>
 
 #include "arboricity/pseudoarboricity.hpp"
 #include "common/check.hpp"
@@ -135,8 +137,8 @@ MdsResult run_greedy_election(Network& net, const SolverParams&) {
 // repaired set replaces the result set/weight; packing and iterations
 // stay the base solver's (empty/zero when it starved). Judged by the
 // surviving-subgraph oracle, not the clean-run certificate checks.
-MdsResult run_with_repair(Network& net, const SolverParams& p,
-                          MdsResult (*base)(Network&, const SolverParams&)) {
+using RunOn = MdsResult (*)(Network&, const SolverParams&);
+MdsResult run_with_repair(Network& net, const SolverParams& p, RunOn base) {
   MdsResult res;
   try {
     res = base(net, p);
@@ -152,34 +154,6 @@ MdsResult run_with_repair(Network& net, const SolverParams& p,
   res.repaired_nodes = out.repaired_nodes;
   res.stats = net.stats();
   return res;
-}
-
-MdsResult run_det_repair(Network& net, const SolverParams& p) {
-  return run_with_repair(net, p, run_det);
-}
-MdsResult run_unweighted_repair(Network& net, const SolverParams& p) {
-  return run_with_repair(net, p, run_unweighted);
-}
-MdsResult run_randomized_repair(Network& net, const SolverParams& p) {
-  return run_with_repair(net, p, run_randomized);
-}
-MdsResult run_general_repair(Network& net, const SolverParams& p) {
-  return run_with_repair(net, p, run_general);
-}
-MdsResult run_unknown_delta_repair(Network& net, const SolverParams& p) {
-  return run_with_repair(net, p, run_unknown_delta);
-}
-MdsResult run_unknown_alpha_repair(Network& net, const SolverParams& p) {
-  return run_with_repair(net, p, run_unknown_alpha);
-}
-MdsResult run_tree_repair(Network& net, const SolverParams& p) {
-  return run_with_repair(net, p, run_tree);
-}
-MdsResult run_greedy_threshold_repair(Network& net, const SolverParams& p) {
-  return run_with_repair(net, p, run_greedy_threshold);
-}
-MdsResult run_greedy_election_repair(Network& net, const SolverParams& p) {
-  return run_with_repair(net, p, run_greedy_election);
 }
 
 constexpr std::array<SolverInfo, 9> kSolvers{{
@@ -212,54 +186,52 @@ constexpr std::array<SolverInfo, 9> kSolvers{{
      check_nothing, greedy_election_bound, run_greedy_election},
 }};
 
-// The self-healing variants, one per base solver, same schemas and
-// bounds (the guarantee text applies to the pre-kill computation; the
-// repaired set is judged by the surviving-subgraph oracle). A separate
-// table so exhaustive all_solvers() sweeps in the clean/fault suites
-// keep their cost; the lookup functions search both.
-constexpr std::array<SolverInfo, 9> kRepairSolvers{{
-    {"det+repair", "Theorem 1.1", "(2a+1)(1+eps), then post-kill repair",
-     {.alpha = true, .eps = true}, false, false, false,
-     check_alpha_eps, deterministic_bound, run_det_repair},
-    {"unweighted+repair", "Theorem 3.1",
-     "(2a+1)(1+eps), unit weights, then post-kill repair",
-     {.alpha = true, .eps = true}, false, false, true,
-     check_alpha_eps, deterministic_bound, run_unweighted_repair},
-    {"randomized+repair", "Theorem 1.2",
-     "a + O(a/t) in expectation, then post-kill repair",
-     {.alpha = true, .t = true}, true, false, false,
-     check_alpha_t, randomized_bound, run_randomized_repair},
-    {"general+repair", "Theorem 1.3",
-     "O(k Delta^{2/k}), then post-kill repair",
-     {.k = true}, true, false, false,
-     check_k, general_bound, run_general_repair},
-    {"unknown-delta+repair", "Remark 4.4",
-     "(2a+1)(1+eps), Delta unknown, then post-kill repair",
-     {.alpha = true, .eps = true}, false, false, false,
-     check_alpha_eps, deterministic_bound, run_unknown_delta_repair},
-    {"unknown-alpha+repair", "Remark 4.5",
-     "(2a+1)(1+eps), alpha unknown, then post-kill repair",
-     {.eps = true}, false, false, false,
-     check_eps, unknown_alpha_bound, run_unknown_alpha_repair},
-    {"tree+repair", "Observation A.1",
-     "3 on forests, unit weights, then post-kill repair",
-     {}, false, true, true,
-     check_nothing, tree_bound, run_tree_repair},
-    {"greedy-threshold+repair", "LW10 baseline",
-     "O(a log Delta), unit weights, then post-kill repair",
-     {.alpha = true}, false, false, true,
-     check_alpha, greedy_threshold_bound, run_greedy_threshold_repair},
-    {"greedy-election+repair", "LW10 baseline",
-     "heuristic, then post-kill repair",
-     {}, false, false, true,
-     check_nothing, greedy_election_bound, run_greedy_election_repair},
-}};
+template <std::size_t I>
+MdsResult run_repair_variant(Network& net, const SolverParams& p) {
+  return run_with_repair(net, p, kSolvers[I].run_on);
+}
+
+template <std::size_t... I>
+constexpr std::array<RunOn, sizeof...(I)> repair_runners(
+    std::index_sequence<I...>) {
+  return {run_repair_variant<I>...};
+}
+
+// The self-healing variants, one per base solver: "<name>+repair" with
+// the base's theorem, schema, flags and bound functions (the guarantee
+// applies to the pre-kill computation; the repaired set is judged by the
+// surviving-subgraph oracle). A separate table so exhaustive
+// all_solvers() sweeps in the clean/fault suites keep their cost; the
+// lookup functions search both.
+struct RepairTable {
+  std::array<std::string, kSolvers.size()> names, guarantees;
+  std::array<SolverInfo, kSolvers.size()> infos;
+
+  RepairTable() {
+    constexpr auto runners =
+        repair_runners(std::make_index_sequence<kSolvers.size()>());
+    for (std::size_t i = 0; i < kSolvers.size(); ++i) {
+      names[i] = std::string(kSolvers[i].name) + "+repair";
+      guarantees[i] =
+          std::string(kSolvers[i].guarantee) + ", then post-kill repair";
+      infos[i] = kSolvers[i];
+      infos[i].name = names[i];
+      infos[i].guarantee = guarantees[i];
+      infos[i].run_on = runners[i];
+    }
+  }
+};
+
+const std::array<SolverInfo, kSolvers.size()>& repair_table() {
+  static const RepairTable table;
+  return table.infos;
+}
 
 }  // namespace
 
 std::span<const SolverInfo> all_solvers() { return kSolvers; }
 
-std::span<const SolverInfo> repair_solvers() { return kRepairSolvers; }
+std::span<const SolverInfo> repair_solvers() { return repair_table(); }
 
 std::vector<std::string_view> solver_names() {
   std::vector<std::string_view> names;
@@ -271,7 +243,7 @@ std::vector<std::string_view> solver_names() {
 const SolverInfo* find_solver(std::string_view name) {
   for (const auto& s : kSolvers)
     if (s.name == name) return &s;
-  for (const auto& s : kRepairSolvers)
+  for (const auto& s : repair_table())
     if (s.name == name) return &s;
   return nullptr;
 }
@@ -282,7 +254,7 @@ const SolverInfo& solver(std::string_view name) {
     std::ostringstream os;
     os << "unknown solver '" << name << "'; known:";
     for (const auto& info : kSolvers) os << " " << info.name;
-    for (const auto& info : kRepairSolvers) os << " " << info.name;
+    for (const auto& info : repair_table()) os << " " << info.name;
     throw CheckError(os.str());
   }
   return *s;

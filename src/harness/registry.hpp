@@ -36,6 +36,8 @@ struct ParamSchema {
   bool eps = false;
   bool t = false;
   bool k = false;
+
+  friend bool operator==(const ParamSchema&, const ParamSchema&) = default;
 };
 
 struct SolverInfo {

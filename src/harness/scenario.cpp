@@ -60,6 +60,15 @@ std::string json_fixed(double v) {
   return std::string(buf);
 }
 
+/// The four fault tallies as JSON members, in schema order (a row and
+/// each of its last_rounds entries carry them alike).
+std::string fault_members(const obs::Counters& c) {
+  return ", \"dropped\": " + std::to_string(c.dropped) +
+         ", \"duplicated\": " + std::to_string(c.duplicated) +
+         ", \"delayed\": " + std::to_string(c.delayed) +
+         ", \"killed\": " + std::to_string(c.killed);
+}
+
 /// One timed repeat: its wall time and the simulator's breakdown of it.
 struct RepeatSample {
   double seconds = 0.0;
@@ -308,10 +317,7 @@ void write_scenario_json(std::ostream& os, std::span<const ScenarioRow> rows) {
        << ", \"total_bits\": " << row.result.stats.total_bits
        << ", \"set_size\": " << row.result.dominating_set.size()
        << ", \"weight\": " << row.result.weight
-       << ", \"dropped\": " << row.result.stats.dropped
-       << ", \"duplicated\": " << row.result.stats.duplicated
-       << ", \"delayed\": " << row.result.stats.delayed
-       << ", \"killed\": " << row.result.stats.killed
+       << fault_members(row.result.stats)
        << ", \"hit_round_limit\": "
        << (row.result.stats.hit_round_limit ? "true" : "false")
        << ", \"repair_rounds\": " << row.result.repair_rounds
@@ -329,11 +335,9 @@ void write_scenario_json(std::ostream& os, std::span<const ScenarioRow> rows) {
       const obs::FlightRecord& r = row.last_rounds[i];
       if (i > 0) os << ", ";
       os << "{\"round\": " << r.round << ", \"active\": " << r.active
-         << ", \"delivered\": " << r.delivered << ", \"bits\": " << r.bits
-         << ", \"spilled\": " << r.spilled << ", \"dropped\": " << r.dropped
-         << ", \"duplicated\": " << r.duplicated
-         << ", \"delayed\": " << r.delayed << ", \"killed\": " << r.killed
-         << "}";
+         << ", \"delivered\": " << r.messages
+         << ", \"bits\": " << r.total_bits << ", \"spilled\": " << r.spilled
+         << fault_members(r) << "}";
     }
     os << "]}";
   }

@@ -186,8 +186,8 @@ void dump_flight_records(std::ostream& os, std::string_view header,
                   "  round %-6lld active %-8s delivered %-10lld bits %-12lld"
                   " spilled %-8lld",
                   static_cast<long long>(r.round), active.c_str(),
-                  static_cast<long long>(r.delivered),
-                  static_cast<long long>(r.bits),
+                  static_cast<long long>(r.messages),
+                  static_cast<long long>(r.total_bits),
                   static_cast<long long>(r.spilled));
     out += buf;
     if (r.dropped || r.duplicated || r.delayed || r.killed) {

@@ -15,15 +15,21 @@
 //     matter how deep the FaultyNetwork/ReliableNetwork stack is. A full
 //     ring overwrites its oldest events (flight-recorder semantics), so
 //     a long run keeps the most recent window instead of allocating.
-//   * TimingStats — the compute/flip/retransmit seconds breakdown
-//     carried alongside RunStats/PhaseStats. Deliberately EXCLUDED from
-//     their operator==: the determinism and differential suites compare
-//     logical results, and wall-clock can never be bit-stable.
-//   * FlightRecord — one per-round summary line of the flight recorder
-//     (CongestConfig::trace.flight_rounds): the last N of these are
-//     dumped to stderr/JSON when a phase hits its round limit or a
-//     solver throws CheckError, turning an opaque `failed=true` row
-//     into a diagnosable incident.
+//   * One per-round accounting record behind every statistics view.
+//     Counters declares the logical counters once; RoundRecord adds the
+//     round's TimingStats (compute/flip/retransmit seconds). The Network
+//     closes one record per round and folds it with += into the open
+//     PhaseStats and into RunStats, which inherit RoundRecord, so phase
+//     and run totals — timing included — are folds of the same records.
+//     Timing is deliberately EXCLUDED from every operator==: the
+//     determinism and differential suites compare logical results, and
+//     wall-clock can never be bit-stable.
+//   * FlightRecord — a round's record plus its round number, active-set
+//     size and pending spills: the flight recorder
+//     (CongestConfig::trace.flight_rounds) keeps the last N and dumps
+//     them to stderr/JSON when a phase hits its round limit or a solver
+//     throws CheckError, turning an opaque `failed=true` row into a
+//     diagnosable incident.
 //   * write_chrome_json — Chrome trace-event export (chrome://tracing /
 //     Perfetto): one process row per group, one track per worker.
 //
@@ -60,12 +66,13 @@ struct TraceOptions {
   friend bool operator==(const TraceOptions&, const TraceOptions&) = default;
 };
 
-/// Wall-clock breakdown of a phase or run, in seconds. compute covers
-/// initialize + process_round (the send half-round and all per-node
-/// work); flip covers flip_buffers; retransmit covers the reliable-transport receive/transmit passes,
-/// which compute excludes — the columns are disjoint, so compute + flip
-/// + retransmit never exceeds the wall time. Always measured (a handful of
-/// monotonic-clock reads per round), tracing enabled or not.
+/// Wall-clock breakdown of a round, phase or run, in seconds. compute
+/// covers initialize + process_round (the send half-round and all
+/// per-node work); flip covers flip_buffers; retransmit covers the
+/// reliable-transport receive/transmit passes, which compute excludes —
+/// the columns are disjoint, so compute + flip + retransmit never exceeds
+/// the wall time. Always measured (a handful of monotonic-clock reads per
+/// round), tracing enabled or not.
 struct TimingStats {
   double compute_seconds = 0.0;
   double flip_seconds = 0.0;
@@ -81,32 +88,74 @@ struct TimingStats {
     retransmit_seconds += o.retransmit_seconds;
     return *this;
   }
-  friend TimingStats operator-(TimingStats a, const TimingStats& b) {
-    a.compute_seconds -= b.compute_seconds;
-    a.flip_seconds -= b.flip_seconds;
-    a.merge_seconds -= b.merge_seconds;
-    a.retransmit_seconds -= b.retransmit_seconds;
-    return a;
+};
+
+/// The simulator's logical counters, declared once. A worker's slot, a
+/// round, a phase and a run all count the same things, and a coarser
+/// view is the += fold of finer ones: sums, except max_message_bits,
+/// which folds by max.
+struct Counters {
+  std::int64_t messages = 0;    // per-edge message deliveries
+  std::int64_t total_bits = 0;  // sum of message widths
+  int max_message_bits = 0;     // widest single message observed
+  // Fault-injection tallies (always 0 on a clean simulator); see
+  // fault/faulty_network.hpp for exactly what each one counts.
+  std::int64_t dropped = 0;     // records discarded in flight
+  std::int64_t duplicated = 0;  // adversarial extra copies injected
+  std::int64_t delayed = 0;     // copies held >= 1 extra round
+  std::int64_t killed = 0;      // records suppressed by dead endpoints
+
+  /// Accounts `copies` sends of one message `bits` wide.
+  void count_sends(std::int64_t copies, int bits) {
+    messages += copies;
+    total_bits += bits * copies;
+    if (bits > max_message_bits) max_message_bits = bits;
+  }
+
+  Counters& operator+=(const Counters& o) {
+    messages += o.messages;
+    total_bits += o.total_bits;
+    if (o.max_message_bits > max_message_bits)
+      max_message_bits = o.max_message_bits;
+    dropped += o.dropped;
+    duplicated += o.duplicated;
+    delayed += o.delayed;
+    killed += o.killed;
+    return *this;
+  }
+  friend bool operator==(const Counters&, const Counters&) = default;
+};
+
+/// One round's accounting record: its counters plus where its wall-clock
+/// went. Network::run_phase closes one per round (and one for
+/// initialize) and folds it into the open PhaseStats and the RunStats,
+/// which inherit this type, so their counters and timing are sums of
+/// rounds by construction. operator== ignores the timing (see above).
+struct RoundRecord : Counters {
+  TimingStats timing;
+
+  using Counters::operator+=;  // folds a worker slot's counters
+  RoundRecord& operator+=(const RoundRecord& o) {
+    Counters::operator+=(o);
+    timing += o.timing;
+    return *this;
+  }
+  friend bool operator==(const RoundRecord& a, const RoundRecord& b) {
+    return static_cast<const Counters&>(a) == static_cast<const Counters&>(b);
   }
 };
 
-/// One per-round summary line of the flight recorder. Deltas are per
-/// round; `delivered`/`bits` count sends accounted during the round
+/// One line of the flight recorder: a round's record plus where the
+/// round stood. The counters cover sends accounted during the round
 /// (delivery follows at the next flip). `active` is the active-set size
 /// as of the round's last rebuild, or -1 when the algorithm never
 /// consulted the active set that round — the recorder must NOT force a
 /// rebuild, which would drain timer buckets early and change behavior.
-struct FlightRecord {
+struct FlightRecord : RoundRecord {
   std::int64_t round = 0;
   std::int64_t active = -1;
-  std::int64_t delivered = 0;
-  std::int64_t bits = 0;
   /// Overflow records awaiting the next flip's spill merge.
   std::int64_t spilled = 0;
-  std::int64_t dropped = 0;
-  std::int64_t duplicated = 0;
-  std::int64_t delayed = 0;
-  std::int64_t killed = 0;
 };
 
 /// One exported span (snapshot form; the in-ring representation is a

@@ -20,24 +20,20 @@ RunStats ProtocolRunner::run(std::span<Phase* const> phases,
   std::optional<resilience::ReliablePhase> wrapped;
   for (Phase* phase : phases) {
     ARBODS_CHECK(phase != nullptr);
+    Phase* driven = phase;
     if (rel) {
       if (wrapped) {
         wrapped->wrap(*phase);
       } else {
         wrapped.emplace(*phase);
       }
-      wrapped->bind(ctx_);
-      const PhaseStats& ps =
-          net_->run_phase(*wrapped, wrapped->name(), max_rounds_per_phase);
-      if (ps.hit_round_limit) break;
-      wrapped->publish(*net_, ctx_);
-    } else {
-      phase->bind(ctx_);
-      const PhaseStats& ps =
-          net_->run_phase(*phase, phase->name(), max_rounds_per_phase);
-      if (ps.hit_round_limit) break;  // callers check RunStats::hit_round_limit
-      phase->publish(*net_, ctx_);
+      driven = &*wrapped;
     }
+    driven->bind(ctx_);
+    const PhaseStats& ps =
+        net_->run_phase(*driven, driven->name(), max_rounds_per_phase);
+    if (ps.hit_round_limit) break;  // callers check RunStats::hit_round_limit
+    driven->publish(*net_, ctx_);
   }
   return net_->stats();
 }

@@ -473,6 +473,76 @@ TEST(Network, CapViolationInsideWorkerPoolPropagates) {
   EXPECT_THROW(net.run(algo, 10), CheckError);
 }
 
+// Every node broadcasts in initialize and in each round; in round
+// `throw_at` node 0 throws mid-round, when at width > 1 the other workers
+// may already have sent (partial accounting that must not leak).
+class ThrowsAtRound final : public DistributedAlgorithm {
+ public:
+  ThrowsAtRound(std::int64_t rounds, std::int64_t throw_at)
+      : rounds_(rounds), throw_at_(throw_at) {}
+
+  void initialize(Network& net) override { send_all(net); }
+  void process_round(Network& net) override { send_all(net); }
+  bool finished(const Network& net) const override {
+    return net.current_round() >= rounds_;
+  }
+
+ private:
+  void send_all(Network& net) {
+    net.for_nodes([&](NodeId v) {
+      ARBODS_CHECK_MSG(v != 0 || net.current_round() != throw_at_,
+                       "planned failure");
+      net.broadcast(v, Message::tagged(0).add_id(v));
+    });
+  }
+  std::int64_t rounds_;
+  std::int64_t throw_at_;
+};
+
+// The run_with_repair shape: a phase that throws keeps its completed
+// rounds in the run totals but appends no phases entry, and the next
+// phase appends its own. `rounds` counts process_round invocations, the
+// aborted one included; the counters hold exactly the phase's initialize
+// and its k-1 completed rounds.
+TEST(Network, ThrowingPhaseKeepsCompletedRoundsInRunTotals) {
+  const auto wg = WeightedGraph::uniform(gen::grid(8, 8));
+  const std::int64_t directed =
+      2 * static_cast<std::int64_t>(wg.graph().num_edges());
+  constexpr std::int64_t k = 4;
+  std::vector<RunStats> per_width;
+  for (const int width : {1, 4}) {
+    CongestConfig cfg;
+    cfg.threads = width;
+    Network net(wg, cfg);
+    net.reset_for_reuse();
+    ThrowsAtRound before(3, -1);
+    net.run_phase(before, "before");
+    const RunStats after_first = net.stats();
+    ASSERT_EQ(after_first.messages, 4 * directed);
+
+    ThrowsAtRound doomed(10, k);
+    EXPECT_THROW(net.run_phase(doomed, "doomed"), CheckError);
+    const RunStats& s = net.stats();
+    ASSERT_EQ(s.phases.size(), 1u) << "a thrown phase appends no entry";
+    EXPECT_EQ(s.rounds, after_first.rounds + k);
+    EXPECT_EQ(s.messages, after_first.messages + k * directed);
+    EXPECT_EQ(s.total_bits, after_first.total_bits * (4 + k) / 4);
+    EXPECT_EQ(s.max_message_bits, after_first.max_message_bits);
+
+    ThrowsAtRound repair(2, -1);
+    const PhaseStats& ps = net.run_phase(repair, "repair");
+    EXPECT_EQ(ps.name, "repair");
+    EXPECT_EQ(ps.rounds, 2);
+    EXPECT_EQ(ps.messages, 3 * directed);
+    ASSERT_EQ(net.stats().phases.size(), 2u);
+    EXPECT_EQ(net.stats().messages,
+              after_first.messages + k * directed + ps.messages);
+    per_width.push_back(net.stats());
+  }
+  EXPECT_TRUE(per_width[0] == per_width[1])
+      << "the aborted round's partial accounting leaked at width 4";
+}
+
 // Two sends on the same edge in the same round land in one lane with the
 // send order preserved, after all broadcast deliveries of lower-id
 // senders (inbox order is sender-major).

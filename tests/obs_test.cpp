@@ -24,14 +24,20 @@ namespace {
 
 // Floods for a fixed number of rounds through the active-set path, so a
 // traced run exercises chunk dispatch and flips while staying
-// deterministic.
+// deterministic. With send_at_init false, initialize only arms the nodes,
+// so every message of the phase is sent inside a flight-recorded round.
 class FixedRoundFlood final : public DistributedAlgorithm {
  public:
-  explicit FixedRoundFlood(std::int64_t rounds) : rounds_(rounds) {}
+  explicit FixedRoundFlood(std::int64_t rounds, bool send_at_init = true)
+      : rounds_(rounds), send_at_init_(send_at_init) {}
 
   void initialize(Network& net) override {
     net.for_nodes([&](NodeId v) {
-      net.broadcast(v, Message::tagged(1).add_id(v));
+      if (send_at_init_) {
+        net.broadcast(v, Message::tagged(1).add_id(v));
+      } else {
+        net.arm(v);
+      }
     });
   }
 
@@ -48,6 +54,7 @@ class FixedRoundFlood final : public DistributedAlgorithm {
 
  private:
   std::int64_t rounds_;
+  bool send_at_init_;
 };
 
 // ------------------------------------------------------------ recorder
@@ -284,18 +291,28 @@ TEST(FlightRecorder, KeepsExactlyTheLastNRounds) {
   for (std::size_t i = 0; i < recs.size(); ++i) {
     EXPECT_EQ(recs[i].round, 8 + static_cast<std::int64_t>(i));
     EXPECT_EQ(recs[i].active, 12);  // every node re-arms every round
-    EXPECT_EQ(recs[i].delivered, 24);  // 12 nodes x 2 cycle neighbors
-    EXPECT_GT(recs[i].bits, 0);
+    EXPECT_EQ(recs[i].messages, 24);  // 12 nodes x 2 cycle neighbors
+    EXPECT_GT(recs[i].total_bits, 0);
     EXPECT_EQ(recs[i].dropped, 0);
   }
 
   // Fewer rounds than the ring: all of them survive, oldest first.
-  FixedRoundFlood brief(3);
+  FixedRoundFlood brief(3, /*send_at_init=*/false);
   net.run(brief, 100);
   const auto few = net.flight_records();
   ASSERT_EQ(few.size(), 3u);
   EXPECT_EQ(few.front().round, 1);
   EXPECT_EQ(few.back().round, 3);
+
+  // The window covers the whole phase (initialize sent nothing), and the
+  // phase is the fold of the same round records: the window sums to it.
+  obs::RoundRecord window;
+  for (const obs::FlightRecord& r : few) window += r;
+  const PhaseStats& phase = net.stats().phases.at(0);
+  EXPECT_EQ(static_cast<const obs::Counters&>(window),
+            static_cast<const obs::Counters&>(phase));
+  EXPECT_EQ(window.messages, 3 * 24);
+  EXPECT_DOUBLE_EQ(window.timing.flip_seconds, phase.timing.flip_seconds);
 
   std::ostringstream os;
   net.dump_flight_recorder(os, "unit-test dump");
@@ -357,7 +374,7 @@ TEST(ScenarioJson, EmitsTimingColumnsAtFixedPrecision) {
   obs::FlightRecord rec;
   rec.round = 9;
   rec.active = 4;
-  rec.delivered = 10;
+  rec.messages = 10;
   row.last_rounds = {rec};
 
   std::ostringstream os;

@@ -524,7 +524,19 @@ TEST(Repair, RegistryListsOneRepairVariantPerSolver) {
   for (std::size_t i = 0; i < base.size(); ++i) {
     const std::string expect = std::string(base[i].name) + "+repair";
     EXPECT_EQ(repair[i].name, expect);
-    EXPECT_NE(harness::find_solver(expect), nullptr);
+    EXPECT_EQ(harness::find_solver(expect), &repair[i]);
+    // Everything but the name, guarantee text and driver mirrors the base.
+    EXPECT_EQ(repair[i].theorem, base[i].theorem);
+    EXPECT_EQ(repair[i].guarantee,
+              std::string(base[i].guarantee) + ", then post-kill repair");
+    EXPECT_EQ(repair[i].schema, base[i].schema);
+    EXPECT_EQ(repair[i].randomized, base[i].randomized);
+    EXPECT_EQ(repair[i].forests_only, base[i].forests_only);
+    EXPECT_EQ(repair[i].bound_needs_unit_weights,
+              base[i].bound_needs_unit_weights);
+    EXPECT_EQ(repair[i].check_params, base[i].check_params);
+    EXPECT_EQ(repair[i].approx_bound, base[i].approx_bound);
+    EXPECT_NE(repair[i].run_on, base[i].run_on);
     // The base list stays pure: exhaustive clean sweeps must not pick
     // up the variants implicitly.
     EXPECT_EQ(base[i].name.find('+'), std::string_view::npos);

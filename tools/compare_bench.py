@@ -4,32 +4,23 @@
 Usage: compare_bench.py BASELINE.json FRESH.json [--tolerance 0.25]
                         [--uniform-slack 2.0]
 
-Rows are matched on (instance, solver, threads) plus, when BOTH files
-carry the field, `seed` and `fault` (new in schema v4 — a multi-seed or
-fault-level sweep emits one row per seed and per level, so the key must
-include them to stay unique). Pre-v4 rows missing `seed`/`fault` take the
-defaults (seed None, fault "none") when the other file forces the field
-into the key. A `shards` column in a pre-v8 file is not part of the key:
-the in-process sharded simulator is gone, so such files match on their
-shards=1 rows (a file that swept several shard counts reports duplicate
-keys). A duplicate key within EITHER file is a hard usage error (exit 2):
-the old dict build silently kept only the last duplicate, so a baseline
-regenerated from a multi-seed sweep could "pass" while comparing a
-fraction of its rows.
+Both files must be scenario JSON of schema v8: a row with any other
+`schema_version` is a usage error (exit 2), so every row carries every
+column and every deterministic column is always compared. Rows are
+matched on (instance, solver, threads, seed, fault). A duplicate key
+within EITHER file is a usage error too (exit 2): a dict build would
+silently keep only the last duplicate, so a baseline regenerated from a
+multi-seed sweep could "pass" while comparing a fraction of its rows.
 
 For every matched row:
-  * counter fields (n, m, rounds, messages, total_bits, set_size, weight)
-    must be exactly equal — the simulator promises bit-identical results,
-    so any drift is a correctness regression, not noise. Deterministic
-    fields that only exist from a later schema on are compared the same
-    way when BOTH rows carry them, so older baselines still match on the
-    shared counters: the v4 fault axis — the `dropped` / `duplicated` /
-    `delayed` / `killed` counters and the `failed` flag — and the v5
-    self-healing columns (`hit_round_limit`, `repair_rounds`,
-    `repaired_nodes`, `post_repair_weight`). Columns present in only one
-    file are listed in a one-line notice and skipped. A mismatch prints a
-    per-field diff table (baseline vs fresh vs delta) so the failure is
-    diagnosable from the CI log alone;
+  * the deterministic columns (n, m, rounds, messages, total_bits,
+    set_size, weight, the fault counters dropped / duplicated / delayed /
+    killed, failed, hit_round_limit and the self-healing columns
+    repair_rounds / repaired_nodes / post_repair_weight) must be exactly
+    equal — the simulator promises bit-identical results, so any drift is
+    a correctness regression, not noise. A mismatch prints a per-field
+    diff table (baseline vs fresh vs delta) so the failure is diagnosable
+    from the CI log alone;
   * the `identical` determinism verdict must be true in the fresh run.
 
 Rows only present in the fresh file (new instances, new fault levels)
@@ -49,71 +40,74 @@ catastrophic engine-wide regression. Rows a heavy fault level failed
 excluded from the timing gate.
 
 The timing-breakdown columns (`compute_seconds`, `flip_seconds`,
-`retransmit_seconds`, and v8's `other_seconds`) are INFORMATIONAL ONLY:
-when both files carry them a baseline/fresh/delta table is printed per
-column, but timing drift there never fails the gate — only the
-median-seconds check above gates builds.
+`retransmit_seconds`, `other_seconds`) are INFORMATIONAL ONLY: a
+baseline/fresh/delta table is printed per column, but timing drift there
+never fails the gate — only the median-seconds check above gates builds.
 
-Exit code 0 = pass, 1 = regression / mismatch, 2 = usage, missing rows,
-or duplicate keys.
+Exit code 0 = pass, 1 = regression / mismatch, 2 = usage, schema,
+missing rows, or duplicate keys.
 """
 import argparse
 import json
 import math
 import sys
 
-# Fields a row may lack when it predates the schema that added them; the
-# default keeps old rows addressable under the extended key.
-KEY_DEFAULTS = {"seed": None, "fault": "none"}
+SCHEMA_VERSION = 8
+KEY_FIELDS = ("instance", "solver", "threads", "seed", "fault")
+COUNTERS = ("n", "m", "rounds", "messages", "total_bits", "set_size",
+            "weight", "dropped", "duplicated", "delayed", "killed", "failed",
+            "hit_round_limit", "repair_rounds", "repaired_nodes",
+            "post_repair_weight")
+# Wall-clock breakdown: printed, never gated — timing is noise across
+# machines, and the per-row median gate already covers end-to-end
+# regressions.
+TIMING_COLUMNS = ("compute_seconds", "flip_seconds", "retransmit_seconds",
+                  "other_seconds")
 
 
-def make_key(row, key_fields):
-    return tuple(row.get(f, KEY_DEFAULTS.get(f)) for f in key_fields)
-
-
-def key_fields_for(baseline_rows, fresh_rows):
-    """(instance, solver, threads) plus each v4 axis field that both
-    files actually stamp — a v4/v3 comparison must not split on a field
-    the v3 side cannot distinguish."""
-    fields = ["instance", "solver", "threads"]
-    for axis in ("seed", "fault"):
-        if (any(axis in r for r in baseline_rows)
-                and any(axis in r for r in fresh_rows)):
-            fields.append(axis)
-    return tuple(fields)
-
-
-def build_index(rows, key_fields, label):
-    """{key: row}, failing loudly on duplicates instead of silently
-    keeping the last one."""
+def build_index(rows, label):
+    """{key: row}, or None after printing why: a row of another schema,
+    a row missing a key or deterministic column, or a duplicate key."""
+    stale = [r.get("schema_version") for r in rows
+             if r.get("schema_version") != SCHEMA_VERSION]
+    if stale:
+        print(f"FAIL: {label} has {len(stale)} row(s) of schema "
+              f"{sorted(set(map(str, stale)))}; only v{SCHEMA_VERSION} is "
+              f"accepted (regenerate it with the current exp12_scaling)")
+        return None
     index = {}
     duplicates = []
     for row in rows:
-        k = make_key(row, key_fields)
+        missing = [f for f in KEY_FIELDS + COUNTERS + ("seconds",)
+                   if f not in row]
+        if missing:
+            print(f"FAIL: a {label} row lacks column(s) "
+                  f"{', '.join(missing)}")
+            return None
+        k = tuple(row[f] for f in KEY_FIELDS)
         if k in index:
             duplicates.append(k)
         index[k] = row
     if duplicates:
         print(f"FAIL: duplicate row keys in {label} "
-              f"(key = {', '.join(key_fields)}):")
+              f"(key = {', '.join(KEY_FIELDS)}):")
         for k in sorted(set(duplicates)):
             print(f"  {k}")
-        print("  (a multi-seed or multi-fault sweep needs a schema v4 "
-              "file so seed/fault can join the key)")
         return None
     return index
 
 
-def print_counter_diff(k, base, new, counters):
+def print_counter_diff(k, base, new):
     """One aligned row per counter so a mismatch reads as a table."""
     print(f"  counter diff for {k}:")
-    print(f"    {'field':<12} {'baseline':>16} {'fresh':>16} {'delta':>12}")
-    for field in counters:
+    print(f"    {'field':<18} {'baseline':>16} {'fresh':>16} {'delta':>12}")
+    for field in COUNTERS:
         b, f = base.get(field), new.get(field)
-        delta = "" if not (isinstance(b, (int, float)) and
-                           isinstance(f, (int, float))) else f"{f - b:+}"
+        numeric = all(isinstance(x, (int, float)) and not isinstance(x, bool)
+                      for x in (b, f))
+        delta = f"{f - b:+}" if numeric else ""
         marker = "" if b == f else "   <-- MISMATCH"
-        print(f"    {field:<12} {b!r:>16} {f!r:>16} {delta:>12}{marker}")
+        print(f"    {field:<18} {b!r:>16} {f!r:>16} {delta:>12}{marker}")
 
 
 def main():
@@ -135,10 +129,9 @@ def main():
     with open(args.fresh) as f:
         fresh_rows = json.load(f)
 
-    key_fields = key_fields_for(baseline_rows, fresh_rows)
-    print(f"row key: ({', '.join(key_fields)})")
-    baseline = build_index(baseline_rows, key_fields, "baseline")
-    fresh = build_index(fresh_rows, key_fields, "fresh run")
+    print(f"row key: ({', '.join(KEY_FIELDS)})")
+    baseline = build_index(baseline_rows, "baseline")
+    fresh = build_index(fresh_rows, "fresh run")
     if baseline is None or fresh is None:
         return 2
 
@@ -151,47 +144,15 @@ def main():
         print(f"note: {len(fresh_only)} fresh row(s) have no baseline "
               f"(unpinned, not compared): {fresh_only}")
 
-    counters = ("n", "m", "rounds", "messages", "total_bits", "set_size",
-                "weight")
-    # Deterministic but schema-gated: compared exactly when both sides
-    # carry the field (the fault axis from v4; hit_round_limit and the
-    # repair columns from v5), ignored across schema versions.
-    optional_counters = ("dropped", "duplicated", "delayed", "killed",
-                         "failed", "hit_round_limit", "repair_rounds",
-                         "repaired_nodes", "post_repair_weight")
-    # Wall-clock breakdown (v7, `other_seconds` from v8): printed, never
-    # gated — timing is noise across machines, and the per-row median
-    # gate already covers end-to-end regressions.
-    timing_columns = ("compute_seconds", "flip_seconds",
-                      "retransmit_seconds", "other_seconds")
-
-    # One-line schema-drift notice: columns only one side carries are
-    # skipped by the both-sides rule above — say so instead of silently
-    # narrowing the comparison.
-    baseline_cols = set().union(*(r.keys() for r in baseline_rows)) \
-        if baseline_rows else set()
-    fresh_cols = set().union(*(r.keys() for r in fresh_rows)) \
-        if fresh_rows else set()
-    only_fresh = sorted(fresh_cols - baseline_cols)
-    only_baseline = sorted(baseline_cols - fresh_cols)
-    if only_fresh:
-        print(f"note: columns only in fresh (not compared): "
-              f"{', '.join(only_fresh)}")
-    if only_baseline:
-        print(f"note: columns only in baseline (not compared): "
-              f"{', '.join(only_baseline)}")
-
     failures = 0
     ratios = {}
     for k, base in sorted(baseline.items()):
         new = fresh[k]
-        row_counters = counters + tuple(
-            f for f in optional_counters if f in base and f in new)
-        mismatched = [f for f in row_counters if base[f] != new[f]]
+        mismatched = [f for f in COUNTERS if base.get(f) != new.get(f)]
         if mismatched:
             print(f"FAIL {k}: counters changed (must match exactly): "
                   f"{', '.join(mismatched)}")
-            print_counter_diff(k, base, new, row_counters)
+            print_counter_diff(k, base, new)
             failures += len(mismatched)
         if not new.get("identical", False):
             print(f"FAIL {k}: determinism verdict is false")
@@ -221,23 +182,16 @@ def main():
               f"{verdict}")
 
     # Informational timing breakdown: one line per matched row and
-    # column both sides carry. Never touches `failures`.
-    timing_lines = []
+    # column. Never touches `failures`.
+    print("timing breakdown (informational, never gates):")
+    print(f"  {'row':<60} {'column':<20} {'baseline':>13} "
+          f"{'fresh':>13} {'delta':>13}")
     for k, base in sorted(baseline.items()):
         new = fresh[k]
-        for col in timing_columns:
-            b, f = base.get(col), new.get(col)
-            if not (isinstance(b, (int, float)) and isinstance(f, (int, float))):
-                continue
-            timing_lines.append(
-                f"  {str(k):<60} {col:<20} {b:>12.6f}s {f:>12.6f}s "
-                f"{f - b:>+12.6f}s")
-    if timing_lines:
-        print("timing breakdown (informational, never gates):")
-        print(f"  {'row':<60} {'column':<20} {'baseline':>13} "
-              f"{'fresh':>13} {'delta':>13}")
-        for line in timing_lines:
-            print(line)
+        for col in TIMING_COLUMNS:
+            b, f = base.get(col, 0.0), new.get(col, 0.0)
+            print(f"  {str(k):<60} {col:<20} {b:>12.6f}s {f:>12.6f}s "
+                  f"{f - b:>+12.6f}s")
 
     if failures:
         print(f"{failures} check(s) failed")
