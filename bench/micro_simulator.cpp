@@ -93,7 +93,53 @@ void BM_NetworkBroadcastRound(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 10 *
                           static_cast<std::int64_t>(wg.graph().num_edges()) * 2);
 }
-BENCHMARK(BM_NetworkBroadcastRound)->Arg(1 << 10)->Arg(1 << 13)->Arg(1 << 15);
+// 1 << 17 nodes puts one arena well past L2.
+BENCHMARK(BM_NetworkBroadcastRound)
+    ->Arg(1 << 10)
+    ->Arg(1 << 13)
+    ->Arg(1 << 15)
+    ->Arg(1 << 17);
+
+// Sparse rounds: 1/64 of the nodes broadcast, yet every node reads its
+// inbox, so the receive side's per-lane and per-slot checks dominate —
+// the pull-side cost of broadcast slots on a mostly quiet round.
+void BM_NetworkSparseBroadcastRound(benchmark::State& state) {
+  const NodeId n = static_cast<NodeId>(state.range(0));
+  Rng rng(7);
+  Graph g = gen::k_tree_union(n, 3, rng);
+  WeightedGraph wg = WeightedGraph::uniform(std::move(g));
+
+  class SparseFlood final : public DistributedAlgorithm {
+   public:
+    void initialize(Network& net) override { send(net); }
+    void process_round(Network& net) override {
+      for (NodeId v = 0; v < net.num_nodes(); ++v) {
+        double sum = 0;
+        for (const MessageView m : net.inbox(v)) sum += m.real_at(1);
+        benchmark::DoNotOptimize(sum);
+      }
+      send(net);
+    }
+    bool finished(const Network&) const override { return false; }
+
+   private:
+    static void send(Network& net) {
+      for (NodeId v = 0; v < net.num_nodes(); v += 64)
+        net.broadcast(v, Message::tagged(0).add_real(0.5));
+    }
+  };
+
+  // One Network reused across iterations (run() resets it), so the
+  // rounds are timed without the construction.
+  Network net(wg);
+  std::int64_t messages = 0;
+  for (auto _ : state) {
+    SparseFlood algo;
+    messages += net.run(algo, 10).messages;
+  }
+  state.SetItemsProcessed(messages);
+}
+BENCHMARK(BM_NetworkSparseBroadcastRound)->Arg(1 << 13)->Arg(1 << 17);
 
 // Same flood through the active-set scheduler (every node re-arms), which
 // is the steady-state shape of the ported solvers: measures the packed

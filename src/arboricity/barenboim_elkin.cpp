@@ -42,6 +42,7 @@ void BarenboimElkinOrientation::initialize(Network& net) {
   const NodeId n = net.num_nodes();
   active_.assign(n, 1);
   active_degree_.resize(n);
+  retired_seen_.reset(net.graph());
   level_.assign(n, -1);
   num_active_ = n;
   full_sweep_ = true;
@@ -63,10 +64,13 @@ void BarenboimElkinOrientation::process_round(Network& net) {
   // decides from the updated local active degree, then broadcasts one
   // 1-bit flag. With the threshold unchanged, only a received flag can
   // change a node's decision, so every round but round 1 and the one after
-  // a doubling visits just the nodes a flag reached.
+  // a doubling visits just the nodes a flag reached. Each neighbor retires
+  // once, so only its first flag counts.
+  const Graph& g = net.graph();
   auto step = [&](NodeId v) {
     for (const MessageView m : net.inbox(v)) {
-      if (m.tag() == 0 && m.flag_at(1)) {
+      if (m.tag() == 0 && m.flag_at(1) &&
+          retired_seen_.set_once(g, v, m.sender())) {
         ARBODS_CHECK(active_degree_[v] > 0);
         --active_degree_[v];
       }

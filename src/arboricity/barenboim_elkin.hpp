@@ -21,6 +21,7 @@
 #include "arboricity/orientation.hpp"
 #include "common/types.hpp"
 #include "congest/network.hpp"
+#include "graph/arc_flags.hpp"
 #include "protocol/phase.hpp"
 
 namespace arbods {
@@ -87,6 +88,9 @@ class BarenboimElkinOrientation final : public protocol::Phase {
   bool full_sweep_ = true;
   NodeFlags active_;
   std::vector<NodeId> active_degree_;
+  // Per arc: the neighbor's retirement flag was counted (a duplicated
+  // flag must not be counted twice).
+  ArcFlags retired_seen_;
   std::vector<std::int64_t> level_;
   NodeId num_active_ = 0;
   // Per-worker retirement counts, reduced after each round's sweep.

@@ -29,6 +29,7 @@ void ThresholdGreedyMds::initialize(Network& net) {
   in_set_.assign(n, false);
   covered_.assign(n, false);
   uncovered_degree_.resize(n);
+  left_seen_.reset(net.graph());
   covered_delta_.assign(static_cast<std::size_t>(net.num_workers()),
                         WorkerCounter{});
   num_uncovered_ = n;
@@ -72,7 +73,8 @@ void ThresholdGreedyMds::process_round(Network& net) {
       net.for_active_nodes([&](NodeId v) {
         // Absorb "became covered" notices from the previous phase.
         for (const MessageView m : net.inbox(v)) {
-          if (m.tag() == kTagCovered) {
+          if (m.tag() == kTagCovered &&
+              left_seen_.set_once(net.graph(), v, m.sender())) {
             ARBODS_CHECK(uncovered_degree_[v] > 0);
             --uncovered_degree_[v];
           }
@@ -114,7 +116,8 @@ void ThresholdGreedyMds::process_round(Network& net) {
             ++covered_delta_[net.worker_index()].value;
             newly_covered = true;
           }
-          if (m.flag_at(1)) {  // the joiner itself left the uncovered set
+          // The joiner itself left the uncovered set.
+          if (m.flag_at(1) && left_seen_.set_once(net.graph(), v, m.sender())) {
             ARBODS_CHECK(uncovered_degree_[v] > 0);
             --uncovered_degree_[v];
           }

@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "core/mds_result.hpp"
+#include "graph/arc_flags.hpp"
 #include "protocol/phase.hpp"
 
 namespace arbods::baselines {
@@ -50,6 +51,10 @@ class ThresholdGreedyMds final : public protocol::Phase {
   NodeFlags in_set_;
   NodeFlags covered_;
   std::vector<NodeId> uncovered_degree_;  // |N+(v) ∩ uncovered|
+  // Per arc: the neighbor's leaving the uncovered set was counted. Each
+  // neighbor leaves once (a covered notice or a join flag), so a
+  // duplicated record must not be counted twice.
+  ArcFlags left_seen_;
   std::vector<WorkerCounter> covered_delta_;  // per-worker cover events
   NodeId num_uncovered_ = 0;
 };

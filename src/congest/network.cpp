@@ -1,6 +1,7 @@
 #include "congest/network.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <bit>
 #include <iostream>
 #include <limits>
@@ -22,6 +23,16 @@ namespace {
 // A lane header word: (epoch << 32) | used words (see detail::lane_used).
 std::uint64_t lane_header(std::uint32_t epoch, std::uint64_t used) {
   return (std::uint64_t{epoch} << 32) | used;
+}
+
+// Largest broadcast slot in words: a record of more words takes the lane
+// path. Bounds the slot storage when a config raises the message cap.
+constexpr std::size_t kMaxSlotWords = 8;
+
+// First 64-byte boundary at or after p.
+std::uint64_t* align_to_line(std::uint64_t* p) {
+  const std::uintptr_t a = reinterpret_cast<std::uintptr_t>(p);
+  return reinterpret_cast<std::uint64_t*>((a + 63) & ~std::uintptr_t{63});
 }
 
 // Which worker slot the current thread accounts sends/statistics to.
@@ -109,6 +120,7 @@ std::size_t Network::build_csr_topology() {
   const std::size_t arcs = offsets_[n];
   ARBODS_CHECK_MSG(arcs < std::numeric_limits<EdgeSlot>::max(),
                    "graph too large for 32-bit edge slots");
+  adjacency_ = arcs > 0 ? g.neighbors(0).data() - g.arc_begin(0) : nullptr;
   mirror_.resize(arcs);
   lane_receiver_.resize(arcs);
   // O(arcs) mirror build, no binary searches: sweeping v in ascending
@@ -159,8 +171,25 @@ Network::Network(const WeightedGraph& wg, CongestConfig config)
   in_arena_ = &arena_a_;
   out_arena_ = &arena_b_;
 
+  // Broadcast slots: one cap-sized record per node and buffer, like a
+  // fresh lane region minus its header.
+  slot_words_ = std::min<std::size_t>(
+      2 + (static_cast<std::size_t>(max_message_bits_) + 63) / 64,
+      kMaxSlotWords);
+  const std::size_t slot_total = static_cast<std::size_t>(n) * slot_words_;
+  slot_storage_ =
+      std::make_unique_for_overwrite<std::uint64_t[]>(2 * slot_total + 16);
+  in_slots_ = align_to_line(slot_storage_.get());
+  out_slots_ = align_to_line(in_slots_ + slot_total);
+  live_a_.assign((static_cast<std::size_t>(n) + 63) / 64, 0);
+  live_b_.assign(live_a_.size(), 0);
+  sent_.assign(live_a_.size(), 0);
+  in_live_ = live_a_.data();
+  out_live_ = live_b_.data();
+
   const int workers = derive_workers(config_, n);
   worker_stats_.assign(static_cast<std::size_t>(workers), WorkerStats{});
+  worker_slots_.assign(static_cast<std::size_t>(workers), WorkerSlots{});
   touched_out_.assign(static_cast<std::size_t>(workers), {});
   touched_in_.assign(static_cast<std::size_t>(workers), {});
   spills_.assign(static_cast<std::size_t>(workers), WorkerSpill{});
@@ -298,8 +327,33 @@ std::size_t Network::resolve_arc(NodeId from, NodeId to) const {
   return offsets_[from] + static_cast<std::size_t>(it - nb.begin());
 }
 
+bool Network::mark_first_send(std::size_t w, NodeId v, bool slot) {
+  // v's bits have one writer (v's own sends), but a word is shared with 63
+  // other nodes that may run on other workers.
+  const std::uint64_t bit = std::uint64_t{1} << (v & 63u);
+  std::atomic_ref<std::uint64_t> sent(sent_[v >> 6]);
+  if (sent.load(std::memory_order_relaxed) & bit) return false;
+  sent.fetch_or(bit, std::memory_order_relaxed);
+  if (slot)
+    std::atomic_ref<std::uint64_t>(out_live_[v >> 6])
+        .fetch_or(bit, std::memory_order_relaxed);
+  worker_slots_[w].marked = true;
+  return true;
+}
+
+Network::SlotTally Network::drain_slot_tallies() {
+  SlotTally sum;
+  for (WorkerSlots& ws : worker_slots_) {
+    sum.slotted += ws.slotted;
+    sum.marked |= ws.marked;
+    ws = WorkerSlots{};
+  }
+  return sum;
+}
+
 void Network::send(NodeId from, NodeId to, const Message& m) {
   account_bits(deposit_encoded(mirror_[resolve_arc(from, to)], m, from));
+  mark_first_send(worker_slot(), from, /*slot=*/false);
 }
 
 void Network::broadcast(NodeId from, const Message& m) {
@@ -307,22 +361,42 @@ void Network::broadcast(NodeId from, const Message& m) {
   const std::size_t end = offsets_[from + 1];
   if (begin == end) return;
   // Encode once into the worker's scratch — the CONGEST accounting falls
-  // out of the same pass — then copy words per lane; the statistics for
-  // the whole fan-out are folded into one slot update. The cap check runs
-  // before anything is deposited, so an oversized broadcast still throws
-  // without side effects.
+  // out of the same pass; the statistics for the whole fan-out are folded
+  // into one slot update. The cap check runs before anything is written,
+  // so an oversized broadcast still throws without side effects. The
+  // record then goes to `from`'s slot if this is its first send of the
+  // round, else it is copied into every lane.
   const std::size_t w = worker_slot();
   int bits = 0;
   const std::size_t need = encode_into_scratch(w, m, from, &bits);
-  for (std::size_t arc = begin; arc != end; ++arc)
-    deposit_words(w, mirror_[arc], scratch_[w].data(), need);
+  if (need <= slot_words_ && mark_first_send(w, from, /*slot=*/true)) {
+    std::copy_n(scratch_[w].data(), need,
+                out_slots_ + static_cast<std::size_t>(from) * slot_words_);
+    ++worker_slots_[w].slotted;
+  } else {
+    mark_first_send(w, from, /*slot=*/false);
+    for (std::size_t arc = begin; arc != end; ++arc)
+      deposit_words(w, mirror_[arc], scratch_[w].data(), need);
+  }
   worker_stats_[w].count_sends(static_cast<std::int64_t>(end - begin), bits);
 }
 
 InboxView Network::inbox(NodeId v) const {
   ARBODS_DCHECK(static_cast<std::size_t>(v) + 1 < offsets_.size());
+  InboxView::Slots slots;
+  if (in_slotted_ > 0) slots = {in_live_, in_slots_, slot_words_};
   return InboxView(in_arena_->get(), lane_base_.data(), in_epoch_, offsets_[v],
-                   offsets_[v + 1], &size_model_, config_.quantize_reals);
+                   offsets_[v + 1], adjacency_ + offsets_[v], slots,
+                   &size_model_, config_.quantize_reals);
+}
+
+void Network::prefetch_slots(NodeId v) const {
+  const std::size_t end = std::min(offsets_[v + 1], offsets_[v] + 8);
+  for (std::size_t arc = offsets_[v]; arc < end; ++arc) {
+    const NodeId u = adjacency_[arc];
+    if (detail::node_bit(in_live_, u))
+      __builtin_prefetch(in_slots_ + std::size_t{u} * slot_words_);
+  }
 }
 
 void Network::arm_at(NodeId v, std::int64_t round) {
@@ -389,6 +463,14 @@ void Network::flip_buffers() {
   std::swap(touched_in_, touched_out_);
   in_epoch_ = out_epoch_;
   out_epoch_ = fresh_epoch();
+  // Slots and live bitmaps swap the same way; a bitmap is emptied only if
+  // the round that used it set a bit.
+  const SlotTally tally = drain_slot_tallies();
+  std::swap(in_slots_, out_slots_);
+  std::swap(in_live_, out_live_);
+  if (in_slotted_ > 0) std::fill_n(out_live_, live_a_.size(), 0);
+  if (tally.marked) std::fill(sent_.begin(), sent_.end(), 0);
+  in_slotted_ = tally.slotted;
   // A timer bucket due in the round that just ended survives to the flip
   // only if the algorithm never consulted the active set this round (a
   // for_nodes-only stage). Carry its arms into the next round instead of
@@ -505,6 +587,21 @@ void Network::rebuild_active_set() {
       }
     }
   }
+  // A live slot delivers to every neighbour of its sender.
+  if (in_slotted_ > 0) {
+    const Graph& g = wg_->graph();
+    for (std::size_t i = 0; i < live_a_.size(); ++i) {
+      for (std::uint64_t bits = in_live_[i]; bits != 0; bits &= bits - 1) {
+        const NodeId u = static_cast<NodeId>(64 * i + std::countr_zero(bits));
+        for (const NodeId v : g.neighbors(u)) {
+          if (active_mark_[v] != epoch) {
+            active_mark_[v] = epoch;
+            active_list_.push_back(v);
+          }
+        }
+      }
+    }
+  }
   // Drain every worker's timer bucket that is due for the current round
   // (the lazy rebuild runs from inside the round, after the advance).
   const std::int64_t due = round_;
@@ -550,6 +647,11 @@ void Network::clear_all_lanes() {
   for (auto& list : touched_out_) list.clear();
   in_epoch_ = fresh_epoch();
   out_epoch_ = fresh_epoch();
+  const SlotTally tally = drain_slot_tallies();
+  if (tally.slotted > 0) std::fill_n(out_live_, live_a_.size(), 0);
+  if (tally.marked) std::fill(sent_.begin(), sent_.end(), 0);
+  if (in_slotted_ > 0) std::fill_n(in_live_, live_a_.size(), 0);
+  in_slotted_ = 0;
   for (WorkerSpill& sp : spills_) {
     for (const SpillRec& r : sp.recs) sp.lane_marked[r.lane] = 0;
     sp.words.clear();
@@ -717,8 +819,6 @@ const PhaseStats& Network::run_phase(DistributedAlgorithm& algo,
       if (tracer_ != nullptr) tracer_->record(0, "flip", t0, t1);
     }
     ++round_;
-    ++stats_.rounds;
-    ++phase.rounds;
     {
       const std::int64_t t0 = obs::monotonic_ns();
       algo.process_round(*this);
@@ -728,6 +828,10 @@ const PhaseStats& Network::run_phase(DistributedAlgorithm& algo,
       if (tracer_ != nullptr) tracer_->record(0, "round", t0, t1, round_);
     }
     const obs::RoundRecord rec = reduce_stats(phase);
+    // A round counts once its record is folded: a round that throws is
+    // left out of `rounds` just as its partial accounting is.
+    ++stats_.rounds;
+    ++phase.rounds;
     if (flight_cap > 0) {
       obs::FlightRecord& line = flight_ring_[flight_next_];
       static_cast<obs::RoundRecord&>(line) = rec;
@@ -741,6 +845,8 @@ const PhaseStats& Network::run_phase(DistributedAlgorithm& algo,
       line.spilled = 0;
       for (const WorkerSpill& sp : spills_)  // awaiting the next merge
         line.spilled += static_cast<std::int64_t>(sp.recs.size());
+      line.slotted = 0;
+      for (const WorkerSlots& ws : worker_slots_) line.slotted += ws.slotted;
       flight_next_ = (flight_next_ + 1) % flight_cap;
       if (flight_count_ < flight_cap) ++flight_count_;
     }

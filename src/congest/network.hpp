@@ -41,9 +41,30 @@
 //     monotonic per Network and survives resets; when its 32 bits run out
 //     it restarts at 1, re-stamping the live in-arena headers and zeroing
 //     the rest in place (one O(m) pass per 2^32 epochs, no allocation).
+//   * Broadcast slots. When a node's first send of a round is a broadcast,
+//     the plain Network encodes the record once into the node's own slot
+//     (room for one cap-sized record, double-buffered like the arenas)
+//     and sets the node's bit in a live-slot bitmap, instead of copying
+//     it into deg(v) receiver lanes: one sequential write per broadcaster
+//     instead of deg(v) random read-modify-writes in the arena. inbox(v)
+//     yields, for each lane, the sender's slot record first when the
+//     sender's bit is set, then the lane's own records. The order is exact
+//     because a slot only ever holds a node's first send of the round:
+//     anything it sends later (a directed send, a second broadcast) takes
+//     the lane path and lands behind it. The lane path also takes a
+//     broadcast that follows a send and a record larger than a slot. A
+//     per-node sent bit tells the first send apart; both bitmaps are set
+//     with relaxed atomic fetch_or, as 64 neighbouring ids share a word
+//     and may run on different workers. The flip swaps slots and live
+//     bitmaps and zeroes a bitmap only if its round set a bit. The fault
+//     and reliable decorators override send/broadcast per arc (each copy
+//     needs its own fault draws or transport unit), so they never write a
+//     slot, and an inbox of a round in which no slot was written skips
+//     the live check entirely.
 //   * The simulator additionally maintains an *active set*: the nodes that
 //     received at least one message this round plus the nodes that called
-//     arm() last round. Event-driven algorithms route their loops through
+//     arm() last round (a live slot activates all its sender's
+//     neighbours). Event-driven algorithms route their loops through
 //     for_active_nodes and pay O(active + delivered) per round instead of
 //     O(n) — on instances that converge region-by-region most rounds touch
 //     a small and shrinking worklist.
@@ -163,7 +184,9 @@ struct PhaseStats : obs::RoundRecord {
 };
 
 struct RunStats : obs::RoundRecord {
-  std::int64_t rounds = 0;  // process_round invocations
+  /// Completed rounds: a round counts when its record is folded, so a
+  /// round that throws is not counted, like its partial accounting.
+  std::int64_t rounds = 0;
   bool hit_round_limit = false;
   /// Per-phase breakdown, one entry per run_phase() call (a plain run()
   /// is a single phase named "main").
@@ -191,6 +214,11 @@ namespace detail {
 inline std::uint64_t lane_used(std::uint64_t header, std::uint32_t epoch) {
   const std::uint64_t x = header ^ (std::uint64_t{epoch} << 32);
   return (x >> 32) == 0 ? x : 0;
+}
+
+/// Bit v of a per-node bitmap (64 nodes per word).
+inline bool node_bit(const std::uint64_t* bits, NodeId v) {
+  return ((bits[v >> 6] >> (v & 63u)) & 1u) != 0;
 }
 
 }  // namespace detail
@@ -221,8 +249,11 @@ class DistributedAlgorithm {
 /// skipping empty lanes. Word 0 of every lane region is its header, the
 /// used length stamped with the round's epoch (so length check and record
 /// read hit the same cache line; a stale stamp reads as empty); records
-/// start at word 1. Messages appear ordered by sender id (adjacency lists
-/// are sorted), with per-sender send order preserved within a lane.
+/// start at word 1. Before a lane's own records the cursor yields the
+/// sender's broadcast slot when the sender's slot bit is set (see
+/// "broadcast slots" above); with no slot written in the round the bit
+/// check is skipped. Messages appear ordered by sender id (adjacency
+/// lists are sorted), with per-sender send order preserved.
 /// Dereferencing yields MessageView values; they (and the InboxView) are
 /// valid only for the current round.
 class InboxView {
@@ -235,11 +266,17 @@ class InboxView {
 
     MessageView operator*() const {
       ARBODS_DCHECK(lane_ != view_->end_lane_);
-      return MessageView(view_->arena_ + view_->lane_base_[lane_] + 1 + word_,
-                         view_->model_, view_->quantized_);
+      const std::uint64_t* rec =
+          at_slot_ ? view_->slot_of(lane_)
+                   : view_->arena_ + view_->lane_base_[lane_] + 1 + word_;
+      return MessageView(rec, view_->model_, view_->quantized_);
     }
     const_iterator& operator++() {
-      word_ += (**this).words();
+      if (at_slot_) {
+        at_slot_ = false;
+      } else {
+        word_ += (**this).words();
+      }
       settle();
       return *this;
     }
@@ -249,21 +286,23 @@ class InboxView {
       return old;
     }
     friend bool operator==(const const_iterator& a, const const_iterator& b) {
-      return a.lane_ == b.lane_ && a.word_ == b.word_;
+      return a.lane_ == b.lane_ && a.word_ == b.word_ &&
+             a.at_slot_ == b.at_slot_;
     }
 
    private:
     friend class InboxView;
     const_iterator(const InboxView* view, std::size_t lane)
-        : view_(view), lane_(lane) {
+        : view_(view), lane_(lane), at_slot_(view->has_slot(lane)) {
       settle();
     }
     void settle() {
-      while (lane_ != view_->end_lane_ &&
+      while (lane_ != view_->end_lane_ && !at_slot_ &&
              word_ >= detail::lane_used(view_->arena_[view_->lane_base_[lane_]],
                                         view_->epoch_)) {
         ++lane_;
         word_ = 0;
+        at_slot_ = view_->has_slot(lane_);
       }
       if (lane_ == view_->end_lane_) word_ = 0;
     }
@@ -271,6 +310,7 @@ class InboxView {
     const InboxView* view_ = nullptr;
     std::size_t lane_ = 0;
     std::size_t word_ = 0;
+    bool at_slot_ = false;
   };
 
   const_iterator begin() const { return const_iterator(this, first_lane_); }
@@ -287,18 +327,41 @@ class InboxView {
 
  private:
   friend class Network;
+  /// The broadcast slots of the delivering round: `live` is its bitmap of
+  /// nodes whose slot holds a record, or nullptr when no slot was written
+  /// (the decorators' rounds).
+  struct Slots {
+    const std::uint64_t* live = nullptr;
+    const std::uint64_t* words = nullptr;
+    std::size_t words_per_slot = 0;
+  };
+
   InboxView(const std::uint64_t* arena, const std::uint64_t* lane_base,
             std::uint32_t epoch, std::size_t first_lane, std::size_t end_lane,
-            const MessageSizeModel* model, bool quantized)
+            const NodeId* senders, Slots slots, const MessageSizeModel* model,
+            bool quantized)
       : arena_(arena), lane_base_(lane_base), epoch_(epoch),
-        first_lane_(first_lane), end_lane_(end_lane), model_(model),
-        quantized_(quantized) {}
+        first_lane_(first_lane), end_lane_(end_lane), senders_(senders),
+        slots_(slots), model_(model), quantized_(quantized) {}
+
+  NodeId sender_of(std::size_t lane) const {
+    return senders_[lane - first_lane_];
+  }
+  bool has_slot(std::size_t lane) const {
+    return slots_.live != nullptr && lane != end_lane_ &&
+           detail::node_bit(slots_.live, sender_of(lane));
+  }
+  const std::uint64_t* slot_of(std::size_t lane) const {
+    return slots_.words + sender_of(lane) * slots_.words_per_slot;
+  }
 
   const std::uint64_t* arena_;
   const std::uint64_t* lane_base_;
   std::uint32_t epoch_;
   std::size_t first_lane_;
   std::size_t end_lane_;
+  const NodeId* senders_;  // senders_[l - first_lane_] sends on lane l
+  Slots slots_;
   const MessageSizeModel* model_;
   bool quantized_;
 };
@@ -364,9 +427,12 @@ class Network {
   /// inbox, v's RNG stream, and sends/arms originating at v.
   template <typename F>
   void for_nodes(F&& fn) {
-    auto chunk = [&fn](std::size_t begin, std::size_t end) {
-      for (std::size_t v = begin; v < end; ++v)
+    const bool prefetch = dense_slots();
+    auto chunk = [&fn, prefetch, this](std::size_t begin, std::size_t end) {
+      for (std::size_t v = begin; v < end; ++v) {
+        if (prefetch && v + 1 < end) prefetch_slots(static_cast<NodeId>(v + 1));
         fn(static_cast<NodeId>(v));
+      }
     };
     run_index_chunks(num_nodes(), chunk, "chunk:nodes");
   }
@@ -382,8 +448,13 @@ class Network {
   void for_active_nodes(F&& fn) {
     ensure_active_set();
     const NodeId* nodes = active_list_.data();
-    auto chunk = [&fn, nodes](std::size_t begin, std::size_t end) {
-      for (std::size_t i = begin; i < end; ++i) fn(nodes[i]);
+    const bool prefetch = dense_slots();
+    auto chunk = [&fn, nodes, prefetch, this](std::size_t begin,
+                                              std::size_t end) {
+      for (std::size_t i = begin; i < end; ++i) {
+        if (prefetch && i + 1 < end) prefetch_slots(nodes[i + 1]);
+        fn(nodes[i]);
+      }
     };
     run_index_chunks(active_list_.size(), chunk, "chunk:active");
   }
@@ -552,6 +623,16 @@ class Network {
     if (active_dirty_) rebuild_active_set();
   }
   void merge_spills_and_grow();
+  /// Whether at least 1/8 of the nodes delivered through a slot this
+  /// round. Slot reads are then the round's random accesses, so the node
+  /// loops fetch the next node's live slots while the current one runs;
+  /// in a sparse round the live checks would cost more than they save.
+  bool dense_slots() const {
+    return in_slotted_ > 0 &&
+           8 * static_cast<std::size_t>(in_slotted_) >= num_nodes();
+  }
+  /// Starts fetching the live slots of v's first (up to 8) senders.
+  void prefetch_slots(NodeId v) const;
   /// Next lane epoch from the monotonic counter. At the 32-bit limit it
   /// first restarts the counter (restart_epochs), so the result is never
   /// a stamp any lane still carries.
@@ -583,6 +664,16 @@ class Network {
   void deposit_words(std::size_t worker, EdgeSlot lane,
                      const std::uint64_t* words, std::size_t nwords);
   bool lane_spilled(std::size_t worker, EdgeSlot lane) const;
+  /// Records that v sent this round; with `slot`, also marks v's slot
+  /// live. Does nothing if v already sent, and returns whether it marked.
+  /// Only the plain Network's send and broadcast call it.
+  bool mark_first_send(std::size_t worker, NodeId v, bool slot);
+  /// Sums the worker slot tallies of the open round and zeroes them.
+  struct SlotTally {
+    std::int64_t slotted = 0;  // broadcasts written to a slot
+    bool marked = false;       // some bit of sent_ was set
+  };
+  SlotTally drain_slot_tallies();
   /// Closes the open round: sums the worker slots into its record
   /// (zeroing them), folds the record into `phase` and the run totals,
   /// and returns it. The next round's record starts from zero.
@@ -600,6 +691,9 @@ class Network {
   std::vector<std::size_t> offsets_;
   std::vector<EdgeSlot> mirror_;
   std::vector<NodeId> lane_receiver_;
+  // The graph's flat adjacency array: adjacency_[l] is the sender on lane
+  // l (the CSR arc at l belongs to the receiver and names its neighbor).
+  const NodeId* adjacency_ = nullptr;
 
   // Shared lane layout: lane l owns words [lane_base_[l], lane_base_[l+1])
   // of both arenas; word 0 of the region is the lane's header (same cache
@@ -628,6 +722,26 @@ class Network {
   // copies the resident records they name.
   std::vector<std::vector<EdgeSlot>> touched_out_;
   std::vector<std::vector<EdgeSlot>> touched_in_;
+
+  // Broadcast slots: node v's slot is words [v * slot_words_, (v + 1) *
+  // slot_words_) of the slot storage, live when bit v of the round's
+  // live-slot bitmap is set; sent_ has bit v set once v sent anything in
+  // the open round. Slots and live bitmaps are double-buffered and
+  // swapped at the flip like the arenas; the storage is uninitialized
+  // (the live bits guard every read) and 64-byte aligned, so a cap-sized
+  // record never straddles more cache lines than it must.
+  struct alignas(64) WorkerSlots : SlotTally {};
+  std::size_t slot_words_ = 0;
+  std::unique_ptr<std::uint64_t[]> slot_storage_;
+  std::uint64_t* in_slots_ = nullptr;
+  std::uint64_t* out_slots_ = nullptr;
+  std::vector<std::uint64_t> live_a_, live_b_, sent_;
+  std::uint64_t* in_live_ = nullptr;
+  std::uint64_t* out_live_ = nullptr;
+  // Slots written in the delivering round; 0 means in_live_ is all zero
+  // and inbox() skips the live check.
+  std::int64_t in_slotted_ = 0;
+  std::vector<WorkerSlots> worker_slots_;
 
   // Per-worker overflow buffers and broadcast encode scratch.
   std::vector<WorkerSpill> spills_;

@@ -15,16 +15,6 @@ Graph Graph::from_edges(NodeId n, const std::vector<Edge>& edges) {
   return std::move(b).build();
 }
 
-std::span<const NodeId> Graph::neighbors(NodeId v) const {
-  ARBODS_DCHECK(v < n_);
-  return {adj_.data() + offsets_[v], offsets_[v + 1] - offsets_[v]};
-}
-
-NodeId Graph::degree(NodeId v) const {
-  ARBODS_DCHECK(v < n_);
-  return static_cast<NodeId>(offsets_[v + 1] - offsets_[v]);
-}
-
 NodeId Graph::max_degree() const {
   NodeId d = 0;
   for (NodeId v = 0; v < n_; ++v) d = std::max(d, degree(v));

@@ -9,6 +9,7 @@
 #include <span>
 #include <vector>
 
+#include "common/check.hpp"
 #include "common/types.hpp"
 
 namespace arbods {
@@ -26,9 +27,23 @@ class Graph {
   std::size_t num_edges() const { return adj_.size() / 2; }
 
   /// Sorted open neighborhood of v.
-  std::span<const NodeId> neighbors(NodeId v) const;
+  std::span<const NodeId> neighbors(NodeId v) const {
+    ARBODS_DCHECK(v < n_);
+    return {adj_.data() + offsets_[v], offsets_[v + 1] - offsets_[v]};
+  }
 
-  NodeId degree(NodeId v) const;
+  NodeId degree(NodeId v) const {
+    ARBODS_DCHECK(v < n_);
+    return static_cast<NodeId>(offsets_[v + 1] - offsets_[v]);
+  }
+
+  /// Position of v's first neighbor in the flat adjacency array: v's arcs
+  /// are [arc_begin(v), arc_begin(v) + degree(v)), so per-arc state can
+  /// live in one flat array of 2 * num_edges() entries.
+  std::size_t arc_begin(NodeId v) const {
+    ARBODS_DCHECK(v < n_);
+    return offsets_[v];
+  }
 
   /// Maximum degree Delta (0 for the empty graph).
   NodeId max_degree() const;

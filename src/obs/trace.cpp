@@ -184,11 +184,12 @@ void dump_flight_records(std::ostream& os, std::string_view header,
         r.active < 0 ? std::string("-") : std::to_string(r.active);
     std::snprintf(buf, sizeof buf,
                   "  round %-6lld active %-8s delivered %-10lld bits %-12lld"
-                  " spilled %-8lld",
+                  " spilled %-8lld slotted %-8lld",
                   static_cast<long long>(r.round), active.c_str(),
                   static_cast<long long>(r.messages),
                   static_cast<long long>(r.total_bits),
-                  static_cast<long long>(r.spilled));
+                  static_cast<long long>(r.spilled),
+                  static_cast<long long>(r.slotted));
     out += buf;
     if (r.dropped || r.duplicated || r.delayed || r.killed) {
       std::snprintf(buf, sizeof buf,

@@ -25,7 +25,7 @@
 //     determinism and differential suites compare logical results, and
 //     wall-clock can never be bit-stable.
 //   * FlightRecord — a round's record plus its round number, active-set
-//     size and pending spills: the flight recorder
+//     size, pending spills and slotted broadcasts: the flight recorder
 //     (CongestConfig::trace.flight_rounds) keeps the last N and dumps
 //     them to stderr/JSON when a phase hits its round limit or a solver
 //     throws CheckError, turning an opaque `failed=true` row into a
@@ -156,6 +156,9 @@ struct FlightRecord : RoundRecord {
   std::int64_t active = -1;
   /// Overflow records awaiting the next flip's spill merge.
   std::int64_t spilled = 0;
+  /// Broadcasts this round wrote to a slot instead of to every lane (a
+  /// delivery-path detail: 0 under the fault and reliable decorators).
+  std::int64_t slotted = 0;
 };
 
 /// One exported span (snapshot form; the in-ring representation is a

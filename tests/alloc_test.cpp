@@ -4,11 +4,11 @@
 // versions (the hook the whole suite can reuse: every operator new/delete
 // pair funnels through count_alloc below). After a short warm-up — arena
 // sizing, touched-list/active-list capacity growth — a full flood round
-// (broadcast per node, cursor-read per inbox, buffer flip, active-set
-// rebuild, stats reduction) must perform exactly zero allocations, at
-// every worker-pool width. This is the contract the packed wire format
-// exists to provide; any new heap traffic on the delivery path fails here
-// deterministically.
+// (broadcast per node — through its broadcast slot — cursor-read per
+// inbox, buffer flip, active-set rebuild, stats reduction) must perform
+// exactly zero allocations, at every worker-pool width. This is the
+// contract the packed wire format exists to provide; any new heap traffic
+// on the delivery path fails here deterministically.
 //
 // The reliable transport holds the same contract: a flood wrapped in
 // resilience::reliable(...) on a zero-fault Network allocates nothing per

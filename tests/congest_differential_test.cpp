@@ -12,6 +12,10 @@
 // Delivery-order contract encoded here: messages in an inbox arrive
 // ordered by sender id (adjacency lists are sorted and each node emits
 // its round's sends in one pass), with per-sender send order preserved.
+// The reference has no broadcast slots, so the script variants below pin
+// every case where the Network must fall back to its lanes: a broadcast
+// after a send, a second broadcast, a record larger than a slot, and
+// nodes of degree 0.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -28,7 +32,20 @@ namespace {
 
 constexpr int kTagValue = 1;
 constexpr int kTagProbe = 2;
+constexpr int kTagWide = 3;
 constexpr std::int64_t kSendRounds = 12;
+// Reals in a kTagWide record: more payload words than a broadcast slot
+// holds at any message cap.
+constexpr int kWideReals = 12;
+
+// What a node sends each round. kBroadcastThenSend is the original
+// script; the others put a broadcast where it cannot use a slot.
+enum class Script {
+  kBroadcastThenSend,  // broadcast, then maybe a directed probe
+  kSendThenBroadcast,  // maybe a probe first, then the broadcast
+  kBroadcastTwice,     // broadcast, maybe a probe, broadcast again
+  kWideBroadcast,      // a record larger than a slot, then maybe a probe
+};
 
 struct Delivery {
   std::int64_t round;
@@ -52,6 +69,9 @@ Delivery record(std::int64_t round, NodeId sender, const M& m) {
   if (d.tag == kTagValue) {
     d.level = m.level_at(1);
     d.real = m.real_at(2);
+  } else if (d.tag == kTagWide) {
+    d.level = static_cast<std::int64_t>(m.num_fields());
+    d.real = m.real_at(kWideReals);
   } else {
     d.id = m.id_at(1);
   }
@@ -59,16 +79,42 @@ Delivery record(std::int64_t round, NodeId sender, const M& m) {
 }
 
 // The scripted per-node round action, shared verbatim by both simulators:
-// draws from the node's RNG in a fixed order, then emits one broadcast
-// and (on a coin flip) one directed probe.
+// draws from the node's RNG in a fixed order, then emits the script's
+// broadcasts and (on a coin flip) one directed probe.
 template <typename BroadcastFn, typename SendFn>
-void scripted_sends(NodeId v, std::int64_t round, std::span<const NodeId> nb,
-                    Rng& rng, BroadcastFn&& bcast, SendFn&& probe) {
+void scripted_sends(Script script, NodeId v, std::int64_t round,
+                    std::span<const NodeId> nb, Rng& rng, BroadcastFn&& bcast,
+                    SendFn&& probe) {
   const double x = rng.next_double();
-  bcast(Message::tagged(kTagValue).add_level(round & 7).add_real(x));
-  if (!nb.empty() && rng.next_bernoulli(0.5)) {
-    const NodeId to = nb[rng.next_below(nb.size())];
-    probe(to, Message::tagged(kTagProbe).add_id(v));
+  const bool probing = !nb.empty() && rng.next_bernoulli(0.5);
+  const NodeId to = probing ? nb[rng.next_below(nb.size())] : kInvalidNode;
+  auto value = [&] {
+    return Message::tagged(kTagValue).add_level(round & 7).add_real(x);
+  };
+  auto send_probe = [&] {
+    if (probing) probe(to, Message::tagged(kTagProbe).add_id(v));
+  };
+  switch (script) {
+    case Script::kBroadcastThenSend:
+      bcast(value());
+      send_probe();
+      break;
+    case Script::kSendThenBroadcast:
+      send_probe();
+      bcast(value());
+      break;
+    case Script::kBroadcastTwice:
+      bcast(value());
+      send_probe();
+      bcast(Message::tagged(kTagValue).add_level((round + 1) & 7).add_real(x));
+      break;
+    case Script::kWideBroadcast: {
+      Message wide = Message::tagged(kTagWide);
+      for (int i = 0; i < kWideReals; ++i) wide.add_real(x);
+      bcast(std::move(wide));
+      send_probe();
+      break;
+    }
   }
 }
 
@@ -86,7 +132,8 @@ struct ReferenceStats {
 // because the driver processes nodes in ascending id order).
 ReferenceStats run_reference(const WeightedGraph& wg,
                              const MessageSizeModel& model,
-                             std::uint64_t seed, Trace& trace) {
+                             std::uint64_t seed, Script script,
+                             Trace& trace) {
   const NodeId n = wg.num_nodes();
   const auto& codec = default_value_codec();
   std::vector<Rng> rngs;
@@ -111,7 +158,7 @@ ReferenceStats run_reference(const WeightedGraph& wg,
     if (round <= kSendRounds) {
       for (NodeId v = 0; v < n; ++v) {
         scripted_sends(
-            v, round, wg.graph().neighbors(v), rngs[v],
+            script, v, round, wg.graph().neighbors(v), rngs[v],
             [&](Message m) {
               for (NodeId to : wg.graph().neighbors(v)) {
                 Message copy = m;
@@ -150,6 +197,9 @@ ReferenceStats run_reference(const WeightedGraph& wg,
 
 class ScriptedAlgorithm final : public DistributedAlgorithm {
  public:
+  explicit ScriptedAlgorithm(Script script = Script::kBroadcastThenSend)
+      : script_(script) {}
+
   Trace trace;
 
   void initialize(Network& net) override {
@@ -163,7 +213,7 @@ class ScriptedAlgorithm final : public DistributedAlgorithm {
         trace[v].push_back(record(round, m.sender(), m));
       if (round <= kSendRounds) {
         scripted_sends(
-            v, round, net.neighbors(v), net.rng(v),
+            script_, v, round, net.neighbors(v), net.rng(v),
             [&](Message m) { net.broadcast(v, std::move(m)); },
             [&](NodeId to, Message m) { net.send(v, to, std::move(m)); });
       }
@@ -173,22 +223,28 @@ class ScriptedAlgorithm final : public DistributedAlgorithm {
   bool finished(const Network& net) const override {
     return net.current_round() >= kSendRounds + 1;
   }
+
+ private:
+  Script script_;
 };
 
 // ---------------------------------------------------------------- the test
 
-void expect_differential_match(const WeightedGraph& wg, std::uint64_t seed,
-                               int threads) {
+void expect_differential_match(
+    const WeightedGraph& wg, std::uint64_t seed, int threads,
+    Script script = Script::kBroadcastThenSend) {
   CongestConfig cfg;
   cfg.seed = seed;
   cfg.threads = threads;
+  // A wide record is over the CONGEST cap on purpose.
+  cfg.enforce_message_size = script != Script::kWideBroadcast;
   Network net(wg, cfg);
 
   Trace ref_trace;
   const ReferenceStats ref =
-      run_reference(wg, net.size_model(), seed, ref_trace);
+      run_reference(wg, net.size_model(), seed, script, ref_trace);
 
-  ScriptedAlgorithm algo;
+  ScriptedAlgorithm algo(script);
   const RunStats stats = net.run(algo, 1000);
 
   EXPECT_EQ(stats.rounds, ref.rounds);
@@ -197,8 +253,9 @@ void expect_differential_match(const WeightedGraph& wg, std::uint64_t seed,
   EXPECT_EQ(stats.max_message_bits, ref.max_message_bits);
   ASSERT_EQ(algo.trace.size(), ref_trace.size());
   for (NodeId v = 0; v < wg.num_nodes(); ++v) {
-    EXPECT_EQ(algo.trace[v], ref_trace[v]) << "trace mismatch at node " << v
-                                           << " (threads=" << threads << ")";
+    EXPECT_EQ(algo.trace[v], ref_trace[v])
+        << "trace mismatch at node " << v << " (threads=" << threads
+        << ", script=" << static_cast<int>(script) << ")";
   }
 }
 
@@ -221,6 +278,29 @@ TEST(Differential, FlatBuffersMatchReferenceOnScaleFreeAndTrees) {
   for (const int threads : {1, 8}) {
     expect_differential_match(ba, 501, threads);
     expect_differential_match(tree, 502, threads);
+  }
+}
+
+// Every place a broadcast must bypass its slot, against the lane-only
+// reference, on a graph with isolated (degree-0) nodes: the sparse G(n,p)
+// leaves some, and the extra nodes past the edge set have none at all.
+TEST(Differential, BroadcastSlotFallbacksMatchReference) {
+  Rng rng(31);
+  const NodeId n = 160;
+  const Graph sparse = gen::erdos_renyi_gnp(n, 2.0 / n, rng);
+  Graph padded = Graph::from_edges(n + 8, sparse.edges());
+  WeightedGraph wg = WeightedGraph::uniform(std::move(padded));
+  NodeId isolated = 0;
+  for (NodeId v = 0; v < wg.num_nodes(); ++v)
+    isolated += wg.graph().degree(v) == 0 ? 1 : 0;
+  ASSERT_GE(isolated, 8u);
+  for (const Script script :
+       {Script::kBroadcastThenSend, Script::kSendThenBroadcast,
+        Script::kBroadcastTwice, Script::kWideBroadcast}) {
+    for (const int threads : {1, 4}) {
+      expect_differential_match(wg, 900 + static_cast<int>(script), threads,
+                                script);
+    }
   }
 }
 

@@ -12,6 +12,7 @@
 #include "common/check.hpp"
 #include "congest/message.hpp"
 #include "congest/network.hpp"
+#include "fault/faulty_network.hpp"
 #include "gen/classic.hpp"
 
 namespace arbods {
@@ -501,9 +502,9 @@ class ThrowsAtRound final : public DistributedAlgorithm {
 
 // The run_with_repair shape: a phase that throws keeps its completed
 // rounds in the run totals but appends no phases entry, and the next
-// phase appends its own. `rounds` counts process_round invocations, the
-// aborted one included; the counters hold exactly the phase's initialize
-// and its k-1 completed rounds.
+// phase appends its own. `rounds` counts the k-1 completed rounds, not
+// the aborted one, so it covers exactly what the counters hold: the
+// phase's initialize and its k-1 completed rounds.
 TEST(Network, ThrowingPhaseKeepsCompletedRoundsInRunTotals) {
   const auto wg = WeightedGraph::uniform(gen::grid(8, 8));
   const std::int64_t directed =
@@ -524,7 +525,7 @@ TEST(Network, ThrowingPhaseKeepsCompletedRoundsInRunTotals) {
     EXPECT_THROW(net.run_phase(doomed, "doomed"), CheckError);
     const RunStats& s = net.stats();
     ASSERT_EQ(s.phases.size(), 1u) << "a thrown phase appends no entry";
-    EXPECT_EQ(s.rounds, after_first.rounds + k);
+    EXPECT_EQ(s.rounds, after_first.rounds + (k - 1));
     EXPECT_EQ(s.messages, after_first.messages + k * directed);
     EXPECT_EQ(s.total_bits, after_first.total_bits * (4 + k) / 4);
     EXPECT_EQ(s.max_message_bits, after_first.max_message_bits);
@@ -628,9 +629,13 @@ TEST(Network, LaneOverflowSpillsAndRegrowsPreservingOrder) {
 // Every node sends to each neighbor on a pseudo-random schedule: in round
 // s, 0, 1 or 2 records carrying s on arc v->u, so every lane mixes traffic
 // with silent rounds on both double-buffer parities, and the last round's
-// records are still in flight when the run ends. Each receiver checks that
-// its inbox holds exactly the records sent to it last round, and the
-// inboxes fold into one digest per round. `salt` picks another schedule.
+// records are still in flight when the run ends. On the same kind of
+// schedule a node also broadcasts, before its sends (its first send of the
+// round: the record goes to its broadcast slot) or after them (the lane
+// path), so slots too are written, silent and live across every flip.
+// Each receiver checks that its inbox holds exactly the records sent to it
+// last round, and the inboxes fold into one digest per round. `salt`
+// picks another schedule.
 class LanePattern final : public DistributedAlgorithm {
  public:
   explicit LanePattern(std::int64_t rounds, std::uint64_t salt = 0)
@@ -644,6 +649,16 @@ class LanePattern final : public DistributedAlgorithm {
                       static_cast<std::uint64_t>(round) ^ (salt_ << 56);
     x *= 0x9e3779b97f4a7c15ULL;
     x ^= x >> 29;
+    return static_cast<int>(x % 3);
+  }
+
+  // 0: no broadcast in `round`, 1: broadcast before the sends, 2: after.
+  int broadcast_mode(NodeId v, std::int64_t round) const {
+    std::uint64_t x = (std::uint64_t{v} << 24) ^
+                      (static_cast<std::uint64_t>(round) << 4) ^
+                      (salt_ << 56) ^ 0x5bd1e995ULL;
+    x *= 0xbf58476d1ce4e5b9ULL;
+    x ^= x >> 31;
     return static_cast<int>(x % 3);
   }
 
@@ -667,7 +682,8 @@ class LanePattern final : public DistributedAlgorithm {
         ++got;
       }
       std::int64_t want = 0;
-      for (const NodeId u : net.neighbors(v)) want += copies(u, v, r - 1);
+      for (const NodeId u : net.neighbors(v))
+        want += copies(u, v, r - 1) + (broadcast_mode(u, r - 1) != 0 ? 1 : 0);
       if (got != want) node_bad_[v] = 1;
       node_digest_[v] = h;
       send_all(net, v, r);
@@ -687,9 +703,13 @@ class LanePattern final : public DistributedAlgorithm {
 
  private:
   void send_all(Network& net, NodeId v, std::int64_t round) const {
+    const int mode = broadcast_mode(v, round);
+    const Message b = Message::tagged(3).add_level(round);
+    if (mode == 1) net.broadcast(v, b);
     for (const NodeId u : net.neighbors(v))
       for (int c = 0; c < copies(v, u, round); ++c)
         net.send(v, u, Message::tagged(c).add_level(round));
+    if (mode == 2) net.broadcast(v, b);
   }
 
   std::int64_t rounds_;
@@ -803,6 +823,43 @@ TEST(Network, NoRecordSurvivesResetOrPhaseBoundary) {
         EXPECT_EQ(net.stats().phases.back().messages, 0);
       }
     }
+  }
+}
+
+// Broadcast slots are a plain-Network detail: a FaultyNetwork with a
+// zero-fault plan overrides broadcast per arc and never writes a slot,
+// yet must deliver the same inboxes in the same order, with the same
+// RunStats and flight-record counters, at every pool width.
+TEST(Network, BroadcastSlotsMatchZeroPlanFaultyNetwork) {
+  auto wg = WeightedGraph::uniform(gen::grid(9, 8));
+  std::vector<std::uint64_t> reference_digests;
+  for (const int threads : {1, 4}) {
+    CongestConfig cfg;
+    cfg.threads = threads;
+    cfg.trace.flight_rounds = 16;
+    Network plain(wg, cfg);
+    fault::FaultyNetwork faulty(wg, cfg, fault::FaultPlan{});
+    LanePattern on_plain(12);
+    LanePattern on_faulty(12);
+    const RunStats plain_stats = plain.run(on_plain, 50);
+    const RunStats faulty_stats = faulty.run(on_faulty, 50);
+    EXPECT_EQ(on_plain.bad_nodes, 0) << "threads " << threads;
+    EXPECT_EQ(on_faulty.bad_nodes, 0) << "threads " << threads;
+    EXPECT_EQ(on_plain.digests, on_faulty.digests) << "threads " << threads;
+    EXPECT_EQ(plain_stats, faulty_stats) << "threads " << threads;
+    if (reference_digests.empty()) reference_digests = on_plain.digests;
+    EXPECT_EQ(on_plain.digests, reference_digests) << "threads " << threads;
+
+    const auto plain_flight = plain.flight_records();
+    const auto faulty_flight = faulty.flight_records();
+    ASSERT_EQ(plain_flight.size(), faulty_flight.size());
+    std::int64_t slotted = 0;
+    for (std::size_t i = 0; i < plain_flight.size(); ++i) {
+      EXPECT_EQ(plain_flight[i], faulty_flight[i]) << "round " << i + 1;
+      EXPECT_EQ(faulty_flight[i].slotted, 0);
+      slotted += plain_flight[i].slotted;
+    }
+    EXPECT_GT(slotted, 0) << "the plain run used no slot";
   }
 }
 

@@ -17,10 +17,13 @@
 #include <string>
 #include <vector>
 
+#include "arboricity/barenboim_elkin.hpp"
 #include "common/check.hpp"
 #include "fault/fault_plan.hpp"
 #include "fault/faulty_network.hpp"
+#include "gen/arboricity_families.hpp"
 #include "gen/classic.hpp"
+#include "gen/random_graphs.hpp"
 #include "harness/corpus.hpp"
 #include "harness/oracle.hpp"
 #include "harness/registry.hpp"
@@ -357,6 +360,59 @@ TEST(FaultyDeterminism, EverySolverIsBitIdenticalAcrossWidths) {
             << info.name << " on " << inst.name;
       }
     }
+  }
+}
+
+// ------------------------------------------------- duplicated records
+
+// Barenboim–Elkin's retirement flags and threshold greedy's "left the
+// uncovered set" notices are one-time announcements per neighbor; each
+// receiver counts them once per arc, so a duplicated record is absorbed
+// instead of tripping the degree-underflow checks.
+TEST(FaultyNetwork, DuplicatedOneTimeAnnouncementsAreCountedOnce) {
+  Rng rng(3000);
+  const WeightedGraph forest2 =
+      WeightedGraph::uniform(gen::k_tree_union(3000, 2, rng));
+  const WeightedGraph ba3 =
+      WeightedGraph::uniform(gen::barabasi_albert(3000, 3, rng));
+  for (const WeightedGraph* wg : {&forest2, &ba3}) {
+    const NodeId alpha = wg == &forest2 ? 2 : 3;
+    for (const char* name : {"unknown-alpha", "greedy-threshold"}) {
+      const harness::SolverInfo& info = harness::solver(name);
+      harness::SolverParams params;
+      params.alpha = alpha;
+      std::vector<MdsResult> per_width;
+      for (const int threads : {1, 4}) {
+        CongestConfig cfg;
+        cfg.threads = threads;
+        cfg.fault.duplicate_prob = 0.01;
+        cfg.fault.drop_prob = 0.01;
+        cfg.fault.delay_prob = 0.02;
+        cfg.fault.max_delay_rounds = 2;
+        cfg.round_limit = 3000;
+        const std::unique_ptr<Network> net = make_network(*wg, cfg);
+        MdsResult res;
+        ASSERT_NO_THROW(res = info.run_on(*net, params))
+            << name << " at width " << threads;
+        EXPECT_GT(res.stats.duplicated, 0) << name;
+        per_width.push_back(std::move(res));
+      }
+      EXPECT_TRUE(results_identical(per_width[0], per_width[1])) << name;
+    }
+
+    // Duplication alone changes no decision: every level matches the
+    // fault-free run.
+    CongestConfig clean_cfg;
+    Network clean(*wg, clean_cfg);
+    auto clean_be = BarenboimElkinOrientation::with_unknown_alpha(0.5);
+    clean.run(clean_be);
+    CongestConfig dup_cfg;
+    dup_cfg.fault.duplicate_prob = 0.01;
+    FaultyNetwork dup(*wg, dup_cfg);
+    auto dup_be = BarenboimElkinOrientation::with_unknown_alpha(0.5);
+    const RunStats dup_stats = dup.run(dup_be);
+    EXPECT_GT(dup_stats.duplicated, 0);
+    EXPECT_EQ(dup_be.levels(), clean_be.levels());
   }
 }
 

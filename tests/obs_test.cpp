@@ -294,6 +294,8 @@ TEST(FlightRecorder, KeepsExactlyTheLastNRounds) {
     EXPECT_EQ(recs[i].messages, 24);  // 12 nodes x 2 cycle neighbors
     EXPECT_GT(recs[i].total_bits, 0);
     EXPECT_EQ(recs[i].dropped, 0);
+    // Every node's one broadcast is its first send: all 12 use a slot.
+    EXPECT_EQ(recs[i].slotted, 12);
   }
 
   // Fewer rounds than the ring: all of them survive, oldest first.
@@ -320,6 +322,7 @@ TEST(FlightRecorder, KeepsExactlyTheLastNRounds) {
   EXPECT_NE(dump.find("[flight recorder] unit-test dump"), std::string::npos);
   EXPECT_NE(dump.find("3 round(s)"), std::string::npos);
   EXPECT_NE(dump.find("round 1"), std::string::npos);
+  EXPECT_NE(dump.find("slotted 12"), std::string::npos);
 }
 
 TEST(FlightRecorder, DisabledByDefaultAndCostsNothing) {
