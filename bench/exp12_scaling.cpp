@@ -20,7 +20,10 @@
 // that same repeat (every repeat is also determinism-checked), so
 // checked-in baselines such as BENCH_exp12.json track the perf trajectory
 // instead of scheduler noise. `--smoke` is the CI preset: one small
-// instance, widths 1 and 4. A malformed flag exits 2 with a message.
+// instance, three solvers (greedy-threshold, det, unknown-alpha), widths
+// 1 and 4 — six rows, so the perf gate's machine factor (a geometric
+// mean over the rows) is not dominated by any one row. A malformed flag
+// exits 2 with a message.
 #include <cstdint>
 #include <cstdlib>
 #include <iostream>
@@ -69,6 +72,7 @@ int run(int argc, char** argv) {
       sizes = {10'000};
       threads = {1, 4};
       families = {"forest2"};
+      solvers = {"greedy-threshold", "det", "unknown-alpha"};
     } else usage();
   }
 

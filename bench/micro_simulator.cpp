@@ -6,10 +6,13 @@
 
 #include "congest/message.hpp"
 #include "core/solvers.hpp"
+#include "fault/faulty_network.hpp"
 #include "gen/arboricity_families.hpp"
 #include "gen/random_graphs.hpp"
 #include "gen/trees.hpp"
 #include "gen/weights.hpp"
+#include "protocol/phase.hpp"
+#include "resilience/reliable_channel.hpp"
 
 namespace arbods {
 namespace {
@@ -179,6 +182,57 @@ void BM_NetworkFloodActiveSet(benchmark::State& state) {
                           static_cast<std::int64_t>(wg.graph().num_edges()) * 2);
 }
 BENCHMARK(BM_NetworkFloodActiveSet)->Arg(1 << 10)->Arg(1 << 13)->Arg(1 << 15);
+
+// Reliable transport over a lossy wire (1% drop, 1% delay): a 10-round
+// flood wrapped in reliable() on a FaultyNetwork, the shape of the
+// reliable-lossy benchmark. Items are physical frames, so the rate is
+// the per-frame cost of the transport's passes plus the fault decorator.
+void BM_ReliableLossyRound(benchmark::State& state) {
+  const NodeId n = static_cast<NodeId>(state.range(0));
+  Rng rng(8);
+  Graph g = gen::k_tree_union(n, 2, rng);
+  WeightedGraph wg = WeightedGraph::uniform(std::move(g));
+
+  class Flood final : public protocol::Phase {
+   public:
+    std::string_view name() const override { return "flood"; }
+    void initialize(Network& net) override { send(net); }
+    void process_round(Network& net) override {
+      for (NodeId v = 0; v < net.num_nodes(); ++v) {
+        std::int64_t sum = 0;
+        for (const MessageView m : net.inbox(v)) sum += m.level_at(2);
+        benchmark::DoNotOptimize(sum);
+      }
+      send(net);
+    }
+    bool finished(const Network& net) const override {
+      return net.current_round() >= 10;
+    }
+
+   private:
+    static void send(Network& net) {
+      const std::int64_t r = net.current_round();
+      for (NodeId v = 0; v < net.num_nodes(); ++v)
+        net.broadcast(v, Message::tagged(0).add_id(v).add_level(r));
+    }
+  };
+
+  CongestConfig cfg;
+  cfg.reliable_transport = true;
+  cfg.fault.drop_prob = 0.01;
+  cfg.fault.delay_prob = 0.01;
+  cfg.fault.max_delay_rounds = 2;
+  // One Network and one wrapper reused across iterations: run() resets
+  // the Network, and the wrapper resets its virtual network, so the
+  // rounds are timed without either construction.
+  fault::FaultyNetwork net(wg, cfg);
+  Flood flood;
+  resilience::ReliablePhase wrapped = resilience::reliable(flood);
+  std::int64_t frames = 0;
+  for (auto _ : state) frames += net.run(wrapped, 10'000).messages;
+  state.SetItemsProcessed(frames);
+}
+BENCHMARK(BM_ReliableLossyRound)->Arg(1 << 13);
 
 void BM_SolveDeterministic(benchmark::State& state) {
   const NodeId n = static_cast<NodeId>(state.range(0));

@@ -7,6 +7,11 @@
 
 namespace arbods {
 
+using detail::get_bits;
+using detail::kind_words;
+using detail::kKindsPerWord;
+using detail::put_bits;
+
 int MessageSizeModel::width_of(FieldKind kind) const {
   switch (kind) {
     case FieldKind::kNodeId: return id_bits;
@@ -113,38 +118,6 @@ void Message::quantize_reals(const FixedPointCodec& codec) {
 // --------------------------------------------------------------- wire form
 
 namespace {
-
-constexpr std::size_t kKindsPerWord = 16;  // 4-bit nibbles
-
-std::size_t kind_words(std::size_t num_fields) {
-  return (num_fields + kKindsPerWord - 1) / kKindsPerWord;
-}
-
-// Bit stream helpers over a zeroed payload region. `pos` is a bit offset;
-// values span at most two words (width <= 64).
-void put_bits(std::uint64_t* payload, std::size_t pos, std::uint64_t value,
-              int width) {
-  if (width == 0) return;
-  const std::uint64_t mask =
-      width >= 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << width) - 1;
-  value &= mask;
-  const std::size_t word = pos >> 6;
-  const int off = static_cast<int>(pos & 63);
-  payload[word] |= value << off;
-  if (off + width > 64) payload[word + 1] |= value >> (64 - off);
-}
-
-std::uint64_t get_bits(const std::uint64_t* payload, std::size_t pos,
-                       int width) {
-  if (width == 0) return 0;
-  const std::uint64_t mask =
-      width >= 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << width) - 1;
-  const std::size_t word = pos >> 6;
-  const int off = static_cast<int>(pos & 63);
-  std::uint64_t v = payload[word] >> off;
-  if (off + width > 64) v |= payload[word + 1] << (64 - off);
-  return v & mask;
-}
 
 // The integer payload of a field as the wire carries it.
 std::uint64_t field_wire_value(const Field& f, bool quantized_reals) {
@@ -254,36 +227,6 @@ std::uint64_t MessageView::payload_bits_at(std::size_t i, FieldKind kind) const 
   const std::uint64_t* payload = words_ + 1 + kind_words(nf);
   return get_bits(payload, payload_offset(i),
                   wire_field_bits(kind, *model_, quantized_));
-}
-
-std::size_t MessageView::strip_prefix(std::size_t first,
-                                      std::uint64_t* dst) const {
-  const std::size_t nf = num_fields();
-  ARBODS_CHECK_MSG(first <= nf, "field index " << first << " out of range");
-  const std::size_t out_nf = nf - first;
-  const std::size_t out_kwords = kind_words(out_nf);
-  for (std::size_t w = 0; w < out_kwords; ++w) dst[1 + w] = 0;
-  for (std::size_t j = 0; j < out_nf; ++j)
-    dst[1 + j / kKindsPerWord] |= static_cast<std::uint64_t>(kind_at(first + j))
-                                  << (4 * (j % kKindsPerWord));
-  // The kept fields' payload bits are contiguous: shift them down to bit
-  // 0 a word at a time. get_bits masks each window, so the tail of the
-  // last word is zero exactly as wire_encode leaves it.
-  const std::uint64_t* payload = words_ + 1 + kind_words(nf);
-  const std::size_t start = payload_offset(first);
-  const std::size_t bits = payload_offset(nf) - start;
-  std::uint64_t* out = dst + 1 + out_kwords;
-  const std::size_t out_pwords = (bits + 63) / 64;
-  for (std::size_t w = 0; w < out_pwords; ++w) {
-    const std::size_t taken = 64 * w;
-    const int width = static_cast<int>(std::min<std::size_t>(64, bits - taken));
-    out[w] = get_bits(payload, start + taken, width);
-  }
-  const std::size_t total = 1 + out_kwords + out_pwords;
-  dst[0] = static_cast<std::uint64_t>(sender()) |
-           (static_cast<std::uint64_t>(out_nf) << 32) |
-           (static_cast<std::uint64_t>(total) << 48);
-  return total;
 }
 
 Message& Message::append_fields(const MessageView& src, std::size_t first) {

@@ -120,8 +120,8 @@ class Message {
   Message& add_real(double x);
   /// Appends fields [first, src.num_fields()) of a wire record, decoded in
   /// one sequential pass. Reals come back codec-decoded, so encoding the
-  /// result reproduces exactly the wire bits of `src` — the relay step of
-  /// the reliable transport, which wraps a stored payload in a frame.
+  /// result reproduces exactly the wire bits of `src` (the reference the
+  /// reliable transport's word-level frames are tested against).
   Message& append_fields(const MessageView& src, std::size_t first = 0);
 
   std::size_t num_fields() const { return size_; }
@@ -190,6 +190,45 @@ std::size_t wire_encode(const Message& m, NodeId sender,
                         const MessageSizeModel& model, bool quantized_reals,
                         std::uint64_t* dst, int* accounted_bits = nullptr);
 
+namespace detail {
+
+/// Kind nibbles per kind word.
+inline constexpr std::size_t kKindsPerWord = 16;
+
+/// Kind words of a record with `num_fields` fields.
+inline std::size_t kind_words(std::size_t num_fields) {
+  return (num_fields + kKindsPerWord - 1) / kKindsPerWord;
+}
+
+/// Bit stream helpers over a payload region: `pos` is a bit offset and a
+/// value spans at most two words (width <= 64). put_bits ORs into bits
+/// that must be zero.
+inline void put_bits(std::uint64_t* payload, std::size_t pos,
+                     std::uint64_t value, int width) {
+  if (width == 0) return;
+  const std::uint64_t mask =
+      width >= 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << width) - 1;
+  value &= mask;
+  const std::size_t word = pos >> 6;
+  const int off = static_cast<int>(pos & 63);
+  payload[word] |= value << off;
+  if (off + width > 64) payload[word + 1] |= value >> (64 - off);
+}
+
+inline std::uint64_t get_bits(const std::uint64_t* payload, std::size_t pos,
+                              int width) {
+  if (width == 0) return 0;
+  const std::uint64_t mask =
+      width >= 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << width) - 1;
+  const std::size_t word = pos >> 6;
+  const int off = static_cast<int>(pos & 63);
+  std::uint64_t v = payload[word] >> off;
+  if (off + width > 64) v |= payload[word + 1] << (64 - off);
+  return v & mask;
+}
+
+}  // namespace detail
+
 /// Receiver-side cursor over one wire record. Two pointers and a flag;
 /// copying is free. Views are only valid for the round in which the inbox
 /// was delivered (the arena is recycled by the next round's flip).
@@ -207,15 +246,10 @@ class MessageView {
   std::size_t words() const {
     return static_cast<std::size_t>((words_[0] >> 48) & 0xffffu);
   }
+  /// The wire record this view reads, words() words from its header.
+  const std::uint64_t* record() const { return words_; }
 
   FieldKind kind_at(std::size_t i) const;
-
-  /// Writes the wire record a clean send of fields [first, num_fields())
-  /// with the same sender would produce — the record with its first
-  /// `first` fields stripped, a bit shift rather than a decode/re-encode.
-  /// dst must hold words() words (the stripped record is never longer);
-  /// returns the words written.
-  std::size_t strip_prefix(std::size_t first, std::uint64_t* dst) const;
 
   /// Typed accessors; kind mismatches are contract violations, exactly as
   /// on the builder.

@@ -381,6 +381,16 @@ void Network::broadcast(NodeId from, const Message& m) {
   worker_stats_[w].count_sends(static_cast<std::int64_t>(end - begin), bits);
 }
 
+void Network::send_wire(NodeId from, std::size_t arc,
+                        const std::uint64_t* words, std::size_t nwords,
+                        int bits) {
+  const std::size_t w = worker_slot();
+  check_cap(bits);
+  deposit_words(w, mirror_[arc], words, nwords);
+  worker_stats_[w].count_sends(1, bits);
+  mark_first_send(w, from, /*slot=*/false);
+}
+
 InboxView Network::inbox(NodeId v) const {
   ARBODS_DCHECK(static_cast<std::size_t>(v) + 1 < offsets_.size());
   InboxView::Slots slots;

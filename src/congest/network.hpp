@@ -289,6 +289,10 @@ class InboxView {
       return a.lane_ == b.lane_ && a.word_ == b.word_ &&
              a.at_slot_ == b.at_slot_;
     }
+    /// The lane the current record was delivered on: the receiver's CSR
+    /// arc to the lane's sender. A record's own sender() differs from that
+    /// neighbor only when a fault decorator diverted it to another lane.
+    std::size_t lane() const { return lane_; }
 
    private:
     friend class InboxView;
@@ -378,10 +382,10 @@ struct NetworkTestPeer;
 
 /// The round-synchronous simulator. Its two decorators,
 /// fault::FaultyNetwork and resilience::ReliableNetwork, derive from it
-/// and override the handful of virtual seams below (send/broadcast plus
-/// the per-round flip/clear/shrink and reset_for_reuse), so
-/// ProtocolRunner, every Phase, and the scenario runner drive a decorated
-/// instance through the exact same API. A plain Network pays one virtual
+/// and override the handful of virtual seams below (send/broadcast, the
+/// private word-level send_wire, the per-round flip/clear/shrink and
+/// reset_for_reuse), so ProtocolRunner, every Phase, and the scenario
+/// runner drive a decorated instance through the exact same API. A plain Network pays one virtual
 /// dispatch per seam call and nothing else.
 class Network {
  public:
@@ -658,6 +662,14 @@ class Network {
                                   NodeId sender, int* bits);
   void check_cap(int bits) const;
   void account_bits(int bits);
+  /// Word-level send seam: sends the already encoded wire record
+  /// words[0 .. nwords) from `from` along its CSR arc `arc`, accounting
+  /// `bits` CONGEST bits — send() without the Message encode, for a
+  /// caller that builds records as words (the reliable transport's
+  /// frames). The fault decorator overrides it like send.
+  virtual void send_wire(NodeId from, std::size_t arc,
+                         const std::uint64_t* words, std::size_t nwords,
+                         int bits);
   /// Encodes m into the lane (or spill), cap-checking before committing;
   /// returns the accounted bits from the encode pass.
   int deposit_encoded(EdgeSlot lane, const Message& m, NodeId sender);

@@ -56,7 +56,7 @@ void FaultyNetwork::send(NodeId from, NodeId to, const Message& m) {
   const std::size_t w = worker_slot();
   int bits = 0;
   const std::size_t need = encode_into_scratch(w, m, from, &bits);
-  inject_record(w, from, mirror_[arc], need, bits);
+  inject_record(w, from, arc, scratch_[w].data(), need, bits);
 }
 
 void FaultyNetwork::broadcast(NodeId from, const Message& m) {
@@ -70,12 +70,19 @@ void FaultyNetwork::broadcast(NodeId from, const Message& m) {
   const std::size_t need = encode_into_scratch(w, m, from, &bits);
   const std::size_t begin = offsets_[from];
   for (std::size_t i = 0; i < nb.size(); ++i)
-    inject_record(w, from, mirror_[begin + i], need, bits);
+    inject_record(w, from, begin + i, scratch_[w].data(), need, bits);
 }
 
-void FaultyNetwork::inject_record(std::size_t w, NodeId from,
-                                  std::uint32_t glane, std::size_t nwords,
-                                  int bits) {
+void FaultyNetwork::send_wire(NodeId from, std::size_t arc,
+                              const std::uint64_t* words, std::size_t nwords,
+                              int bits) {
+  check_cap(bits);
+  inject_record(worker_slot(), from, arc, words, nwords, bits);
+}
+
+void FaultyNetwork::inject_record(std::size_t w, NodeId from, std::size_t arc,
+                                  const std::uint64_t* words,
+                                  std::size_t nwords, int bits) {
   WorkerStats& ws = worker_stats_[w];
   if (any_kills_ && node_dead(from, round_)) {
     // A crashed node sends nothing; the record never existed on the wire.
@@ -85,12 +92,16 @@ void FaultyNetwork::inject_record(std::size_t w, NodeId from,
   ws.count_sends(1, bits);
 
   // Per-(arc, round) record index: together with the arc and round it
-  // names this record uniquely, and the arc's tail is its only writer.
-  if (seq_round_[glane] != round_) {
-    seq_round_[glane] = round_;
-    seq_idx_[glane] = 0;
+  // names this record uniquely. The counters sit at the sender-side arc,
+  // so the arc's tail is their only writer and a worker's sends touch
+  // only its own nodes' counters; the draws key off the receiver-side
+  // lane.
+  const std::uint32_t glane = mirror_[arc];
+  if (seq_round_[arc] != round_) {
+    seq_round_[arc] = round_;
+    seq_idx_[arc] = 0;
   }
-  const std::uint32_t seq = seq_idx_[glane]++;
+  const std::uint32_t seq = seq_idx_[arc]++;
   std::uint64_t h = fault_hash(plan_.seed, glane, round_, seq);
   auto draw = [&h]() {
     h = mix64(h + 0x9e3779b97f4a7c15ULL);
@@ -107,7 +118,6 @@ void FaultyNetwork::inject_record(std::size_t w, NodeId from,
                                                    : plan_.arc_duplicate[glane];
   const bool duplicate = p_dup > 0.0 && unit_real(draw()) < p_dup;
   const NodeId receiver = lane_receiver_[glane];
-  const std::uint64_t* words = scratch_[w].data();
 
   const int copies = duplicate ? 2 : 1;
   for (int c = 0; c < copies; ++c) {

@@ -3,12 +3,14 @@
 // The decorator is a full Network (its own arenas, RNG streams, timers,
 // and active set) that overrides the send and per-round seams.
 // Algorithms, ProtocolRunner phases, and the scenario runner drive it
-// through the unchanged Network surface, while every send/broadcast is
-// intercepted:
+// through the unchanged Network surface, while every send/broadcast —
+// and every word-level send_wire record, the reliable transport's
+// frames — is intercepted:
 //
-//   1. the record is encoded once (CONGEST cap check and bit accounting
-//      exactly as on the clean path — the sender paid for the slot even
-//      if the adversary eats it);
+//   1. the record is encoded once, or arrives encoded through send_wire
+//      (CONGEST cap check and bit accounting exactly as on the clean
+//      path — the sender paid for the slot even if the adversary eats
+//      it);
 //   2. its fault decisions are drawn from a pure hash of
 //      (plan.seed, receiver-side arc, round, per-arc record index) —
 //      dead sender -> suppress (killed), drop -> discard (dropped),
@@ -99,10 +101,15 @@ class FaultyNetwork final : public Network {
   void clear_all_lanes() override;
   void shrink_scratch() override;
 
+  void send_wire(NodeId from, std::size_t arc, const std::uint64_t* words,
+                 std::size_t nwords, int bits) override;
+
   void init_from_plan(const WeightedGraph& wg);
-  /// The per-record intercept described in the header comment.
-  void inject_record(std::size_t w, NodeId from, std::uint32_t glane,
-                     std::size_t nwords, int bits);
+  /// The per-record intercept described in the header comment: the
+  /// record words[0 .. nwords) sent along from's CSR arc `arc`.
+  void inject_record(std::size_t w, NodeId from, std::size_t arc,
+                     const std::uint64_t* words, std::size_t nwords,
+                     int bits);
   void hold(std::size_t w, std::int64_t arrival, const HeldRec& rec,
             const std::uint64_t* words, std::size_t nwords);
   bool node_dead(NodeId v, std::int64_t at_round) const {
@@ -114,9 +121,11 @@ class FaultyNetwork final : public Network {
   std::vector<std::int64_t> kill_round_;
   bool any_kills_ = false;
   /// Per-arc record index within the current round: seq_idx_[arc] counts
-  /// records arc has carried in the round seq_round_[arc]. Each arc has a
-  /// single writer (its tail), so the counters are race-free; the pair
-  /// resets lazily per round and fully at phase boundaries.
+  /// records the sender-side CSR arc has carried in the round
+  /// seq_round_[arc]. Each arc has a single writer (its tail), and a
+  /// node's arcs are contiguous, so the counters are race-free and each
+  /// worker writes only its own nodes' lines; the pair resets lazily per
+  /// round and fully at phase boundaries.
   std::vector<std::int64_t> seq_round_;
   std::vector<std::uint32_t> seq_idx_;
   /// Per-worker holding wheels for disturbed records.

@@ -20,8 +20,9 @@ std::int64_t retransmit_gap(std::uint32_t arc, std::uint32_t seq,
   const std::uint64_t h =
       mix64((static_cast<std::uint64_t>(arc) << 32) ^
             (static_cast<std::uint64_t>(seq) << 8) ^ attempt);
+  // h % base, as a mask: base is a power of two, and this runs per frame.
   return 2 + base + static_cast<std::int64_t>(
-                        h % static_cast<std::uint64_t>(base));
+                        h & static_cast<std::uint64_t>(base - 1));
 }
 
 namespace {
@@ -55,14 +56,63 @@ constexpr std::uint64_t kUnitMarker = std::uint64_t{1} << 56;
 constexpr std::uint64_t kUnitPayload = std::uint64_t{1} << 57;
 constexpr std::uint64_t kHeldSeqMask = 0xffffffffu;
 
-/// Transport header fields in front of a DATA frame's payload.
+/// Transport header fields in front of a DATA frame's payload, and their
+/// kind nibbles (tag, seq, ack, marker); an ACK frame's (tag, ack).
 constexpr std::size_t kDataHeaderFields = 4;
+constexpr std::uint64_t kDataKinds =
+    static_cast<std::uint64_t>(FieldKind::kTag) |
+    static_cast<std::uint64_t>(FieldKind::kLevel) << 4 |
+    static_cast<std::uint64_t>(FieldKind::kLevel) << 8 |
+    static_cast<std::uint64_t>(FieldKind::kFlag) << 12;
+constexpr std::uint64_t kAckKinds =
+    static_cast<std::uint64_t>(FieldKind::kTag) |
+    static_cast<std::uint64_t>(FieldKind::kLevel) << 4;
 
 constexpr std::int64_t kNever = std::numeric_limits<std::int64_t>::max();
 
 /// Total words of the wire record starting at rec (header word field).
 std::size_t record_words(const std::uint64_t* rec) {
   return static_cast<std::size_t>((rec[0] >> 48) & 0xffffu);
+}
+
+std::size_t record_fields(const std::uint64_t* rec) {
+  return static_cast<std::size_t>((rec[0] >> 32) & 0xffffu);
+}
+
+/// Word 0 of a wire record (see congest/message.hpp).
+std::uint64_t record_header(NodeId sender, std::size_t fields,
+                            std::size_t words) {
+  return static_cast<std::uint64_t>(sender) |
+         (static_cast<std::uint64_t>(fields) << 32) |
+         (static_cast<std::uint64_t>(words) << 48);
+}
+
+/// ORs the bit stream src[0 .. src_words) into dst from bit `at` on,
+/// dropping whatever would land at or past word dst_words (zero bits in a
+/// well-formed record).
+void or_shifted(std::uint64_t* dst, std::size_t dst_words,
+                const std::uint64_t* src, std::size_t src_words,
+                std::size_t at) {
+  const std::size_t k = at / 64;
+  const int s = static_cast<int>(at % 64);
+  for (std::size_t i = 0; i < src_words && k + i < dst_words; ++i) {
+    dst[k + i] |= src[i] << s;
+    if (s != 0 && k + i + 1 < dst_words) dst[k + i + 1] |= src[i] >> (64 - s);
+  }
+}
+
+/// Writes bits [at, at + 64 * dst_words) of the bit stream
+/// src[0 .. src_words) to dst; bits past the stream's end read as zero.
+void copy_shifted_down(std::uint64_t* dst, std::size_t dst_words,
+                       const std::uint64_t* src, std::size_t src_words,
+                       std::size_t at) {
+  const std::size_t k = at / 64;
+  const int s = static_cast<int>(at % 64);
+  for (std::size_t i = 0; i < dst_words; ++i) {
+    std::uint64_t w = k + i < src_words ? src[k + i] >> s : 0;
+    if (s != 0 && k + i + 1 < src_words) w |= src[k + i + 1] << (64 - s);
+    dst[i] = w;
+  }
 }
 
 /// Words of the ring/held entry starting at ctl (control word + payload).
@@ -80,8 +130,131 @@ void check_seq(std::uint32_t next_seq, std::int64_t limit, std::size_t q) {
 
 }  // namespace
 
+FrameCodec::FrameCodec(const MessageSizeModel& model, bool quantized_reals)
+    : tag_bits_(model.tag_bits),
+      level_bits_(model.level_bits),
+      flag_bits_(model.flag_bits),
+      header_bits_(reliable_transport_header_bits(model)),
+      header_words_((static_cast<std::size_t>(header_bits_) + 63) / 64),
+      ack_words_(2 + (static_cast<std::size_t>(tag_bits_ + level_bits_) +
+                      63) / 64) {
+  for (const FieldKind kind :
+       {FieldKind::kNodeId, FieldKind::kWeight, FieldKind::kLevel,
+        FieldKind::kFlag, FieldKind::kReal, FieldKind::kTag}) {
+    const auto k = static_cast<std::size_t>(kind);
+    wire_bits_[k] = static_cast<std::uint8_t>(
+        wire_field_bits(kind, model, quantized_reals));
+    model_bits_[k] = static_cast<std::uint8_t>(model.width_of(kind));
+  }
+}
+
+std::size_t FrameCodec::wire_bits(const std::uint64_t* kinds,
+                                  std::size_t nf, int* model_bits) const {
+  std::size_t bits = 0;
+  int model = 0;
+  for (std::size_t i = 0; i < nf; ++i) {
+    const std::size_t kind = (kinds[i / detail::kKindsPerWord] >>
+                              (4 * (i % detail::kKindsPerWord))) & 0xf;
+    bits += wire_bits_[kind];
+    model += model_bits_[kind];
+  }
+  if (model_bits != nullptr) *model_bits = model;
+  return bits;
+}
+
+std::size_t FrameCodec::data(NodeId sender, std::uint32_t seq,
+                             std::uint32_t ack, bool marker,
+                             const std::uint64_t* payload,
+                             std::uint64_t* dst, int* bits) const {
+  // The payload's fields and their bits, from its kind nibbles.
+  std::size_t nf = 0;
+  std::size_t kwords = 0;
+  std::size_t payload_bits = 0;
+  int model_bits = 0;
+  if (payload != nullptr) {
+    nf = record_fields(payload);
+    kwords = detail::kind_words(nf);
+    payload_bits = wire_bits(payload + 1, nf, &model_bits);
+  }
+  const std::size_t out_kwords = detail::kind_words(nf + kDataHeaderFields);
+  const std::size_t out_pwords =
+      (static_cast<std::size_t>(header_bits_) + payload_bits + 63) / 64;
+  const std::size_t total = 1 + out_kwords + out_pwords;
+  dst[0] = record_header(sender, nf + kDataHeaderFields, total);
+  std::uint64_t* kinds = dst + 1;
+  std::uint64_t* bitstream = kinds + out_kwords;
+  std::fill_n(kinds, out_kwords + out_pwords, std::uint64_t{0});
+  // Header nibbles, then the payload's shifted by four nibbles; header
+  // fields, then the payload's bits shifted by the header width.
+  kinds[0] = kDataKinds;
+  detail::put_bits(bitstream, 0, kTransportDataTag, tag_bits_);
+  detail::put_bits(bitstream, tag_bits_, seq, level_bits_);
+  detail::put_bits(bitstream, tag_bits_ + level_bits_, ack, level_bits_);
+  detail::put_bits(bitstream, tag_bits_ + 2 * level_bits_, marker ? 1 : 0,
+                   flag_bits_);
+  if (payload != nullptr) {
+    or_shifted(kinds, out_kwords, payload + 1, kwords, 4 * kDataHeaderFields);
+    or_shifted(bitstream, out_pwords, payload + 1 + kwords,
+               (payload_bits + 63) / 64,
+               static_cast<std::size_t>(header_bits_));
+  }
+  *bits = header_bits_ + model_bits;
+  return total;
+}
+
+std::size_t FrameCodec::strip(const std::uint64_t* frame,
+                              std::uint64_t* dst) const {
+  // data() backwards: drop the four header nibbles and the header bits.
+  const std::size_t nf = record_fields(frame) - kDataHeaderFields;
+  const std::size_t frame_kwords = detail::kind_words(nf + kDataHeaderFields);
+  const std::size_t kwords = detail::kind_words(nf);
+  copy_shifted_down(dst + 1, kwords, frame + 1, frame_kwords,
+                    4 * kDataHeaderFields);
+  const std::size_t pwords = (wire_bits(dst + 1, nf, nullptr) + 63) / 64;
+  copy_shifted_down(dst + 1 + kwords, pwords, frame + 1 + frame_kwords,
+                    record_words(frame) - 1 - frame_kwords,
+                    static_cast<std::size_t>(header_bits_));
+  const std::size_t total = 1 + kwords + pwords;
+  dst[0] = record_header(static_cast<NodeId>(frame[0] & 0xffffffffu), nf,
+                         total);
+  return total;
+}
+
+std::size_t FrameCodec::ack(NodeId sender, std::uint32_t ack,
+                            std::uint64_t* dst, int* bits) const {
+  dst[0] = record_header(sender, 2, ack_words_);
+  dst[1] = kAckKinds;
+  std::fill_n(dst + 2, ack_words_ - 2, std::uint64_t{0});
+  detail::put_bits(dst + 2, 0, kTransportAckTag, tag_bits_);
+  detail::put_bits(dst + 2, tag_bits_, ack, level_bits_);
+  *bits = tag_bits_ + level_bits_;
+  return ack_words_;
+}
+
+FrameCodec::DataHeader FrameCodec::data_header(
+    const std::uint64_t* frame) const {
+  const std::uint64_t* bitstream =
+      frame + 1 + detail::kind_words(record_fields(frame));
+  DataHeader h;
+  h.seq = static_cast<std::uint32_t>(
+      detail::get_bits(bitstream, tag_bits_, level_bits_));
+  h.ack = static_cast<std::uint32_t>(
+      detail::get_bits(bitstream, tag_bits_ + level_bits_, level_bits_));
+  h.marker = detail::get_bits(bitstream, tag_bits_ + 2 * level_bits_,
+                              flag_bits_) != 0;
+  return h;
+}
+
+std::uint32_t FrameCodec::ack_of(const std::uint64_t* frame) const {
+  const std::uint64_t* bitstream =
+      frame + 1 + detail::kind_words(record_fields(frame));
+  return static_cast<std::uint32_t>(
+      detail::get_bits(bitstream, tag_bits_, level_bits_));
+}
+
 ReliableNetwork::ReliableNetwork(const Network& outer)
-    : Network(outer.weighted_graph(), algo_config(outer)) {
+    : Network(outer.weighted_graph(), algo_config(outer)),
+      frames_(size_model_, config_.quantize_reals) {
   links_.resize(mirror_.size());
   ready_links_.resize(static_cast<std::size_t>(num_workers()));
   seq_limit_ = std::int64_t{1} << size_model_.level_bits;
@@ -177,21 +350,34 @@ void ReliableNetwork::receive_pass(Network& outer) {
   });
 }
 
+std::uint64_t* ReliableNetwork::frame_buffer(std::size_t words) {
+  std::vector<std::uint64_t>& buf = scratch_[worker_slot()];
+  if (buf.size() < words) buf.resize(words);
+  return buf.data();
+}
+
 void ReliableNetwork::receive_node(Network& outer, NodeId v, std::size_t w) {
-  for (const MessageView mv : outer.inbox(v)) {
-    // The true sender rides in the record, so a reorder-diverted frame
-    // still resolves to its real link; everything below touches only
-    // v's links, keeping the pass race-free.
-    const std::size_t q = resolve_arc(v, mv.sender());
-    Link& l = links_[q];
+  const InboxView inbox = outer.inbox(v);
+  for (auto it = inbox.begin(); it != inbox.end(); ++it) {
+    const MessageView mv = *it;
     const int t = mv.tag();
     if (t != kTransportDataTag && t != kTransportAckTag) continue;
-    // Cumulative ack (standalone, or piggybacked on DATA).
-    l.pop_acked(mv.level_at(t == kTransportAckTag ? 1 : 2));
-    if (t != kTransportDataTag) continue;
-
-    const auto seq = static_cast<std::uint32_t>(mv.level_at(1));
-    const bool marker = mv.flag_at(3);
+    // A frame belongs to the link of the lane it arrived on (v's arc to
+    // the lane's sender), unless a reorder diverted it from another lane
+    // of v: its true sender rides in the record. Everything below
+    // touches only v's links, keeping the pass race-free.
+    const std::size_t lane = it.lane();
+    const std::size_t q =
+        mv.sender() == adjacency_[lane] ? lane : resolve_arc(v, mv.sender());
+    Link& l = links_[q];
+    if (t == kTransportAckTag) {
+      l.pop_acked(frames_.ack_of(mv.record()));
+      continue;
+    }
+    const FrameCodec::DataHeader header = frames_.data_header(mv.record());
+    l.pop_acked(header.ack);  // the piggybacked cumulative ack
+    const std::uint32_t seq = header.seq;
+    const bool marker = header.marker;
     // A bare 4-field frame is a marker when flagged, a zero-field payload
     // otherwise; anything longer carries a payload (and maybe a marker).
     const bool payload = mv.num_fields() > kDataHeaderFields || !marker;
@@ -207,7 +393,7 @@ void ReliableNetwork::receive_node(Network& outer, NodeId v, std::size_t w) {
       std::vector<std::uint64_t>& buf = scratch_[w];
       if (buf.size() < mv.words()) buf.resize(mv.words());
       const std::size_t nwords =
-          payload ? mv.strip_prefix(kDataHeaderFields, buf.data()) : 0;
+          payload ? frames_.strip(mv.record(), buf.data()) : 0;
       consume(q, w, ctl, buf.data(), nwords);
       if (!l.held.empty()) drain_held(q, w);
       continue;
@@ -224,8 +410,7 @@ void ReliableNetwork::receive_node(Network& outer, NodeId v, std::size_t w) {
     l.held.resize(at + 1 + (payload ? mv.words() : 0));
     l.held[at] = ctl;
     if (payload) {
-      const std::size_t nwords =
-          mv.strip_prefix(kDataHeaderFields, &l.held[at + 1]);
+      const std::size_t nwords = frames_.strip(mv.record(), &l.held[at + 1]);
       l.held.resize(at + 1 + nwords);
     }
   }
@@ -297,7 +482,6 @@ void ReliableNetwork::transmit_node(Network& outer, NodeId v,
                                     std::int64_t now) {
   const std::size_t begin = offsets_[v];
   const std::size_t end = offsets_[v + 1];
-  const std::span<const NodeId> nb = neighbors(v);
   std::int64_t earliest = kNever;
   // Due DATA units, in link order then seq order (deterministic
   // per-lane record order at every pool width).
@@ -311,7 +495,7 @@ void ReliableNetwork::transmit_node(Network& outer, NodeId v,
         std::uint64_t* unit = &l.ring[o];
         auto due = static_cast<std::int64_t>(unit[0] & kUnitDueMask);
         if (due <= now) {
-          due = send_data(outer, v, nb[q - begin], q, seq, unit, now);
+          due = send_data(outer, v, q, seq, unit, now);
           l.last_data_tx = now;
         }
         min_due = std::min(min_due, due);
@@ -327,26 +511,31 @@ void ReliableNetwork::transmit_node(Network& outer, NodeId v,
     if (!l.ack_due) continue;
     l.ack_due = false;
     if (l.last_data_tx == now) continue;  // piggybacked
-    outer.send(v, nb[q - begin],
-               Message::tagged(kTransportAckTag).add_level(l.next));
+    std::uint64_t* frame = frame_buffer(frames_.ack_words());
+    int bits = 0;
+    const std::size_t nwords = frames_.ack(v, l.next, frame, &bits);
+    outer.send_wire(v, q, frame, nwords, bits);
   }
   // Wake v on the outer network at its earliest retransmit deadline
   // (a stale or duplicate wake only costs an idle visit).
   if (earliest != kNever) outer.arm_at(v, earliest);
 }
 
-std::int64_t ReliableNetwork::send_data(Network& outer, NodeId v, NodeId u,
+std::int64_t ReliableNetwork::send_data(Network& outer, NodeId v,
                                         std::size_t q, std::uint32_t seq,
                                         std::uint64_t* unit, std::int64_t now) {
   // seq, the piggybacked cumulative ack of the reverse direction (this
-  // link's receive half), the marker flag, then the payload fields.
-  Message frame = Message::tagged(kTransportDataTag);
-  frame.add_level(seq).add_level(links_[q].next).add_flag(
-      (unit[0] & kUnitMarker) != 0);
-  if ((unit[0] & kUnitPayload) != 0)
-    frame.append_fields(
-        MessageView(unit + 1, &size_model_, config_.quantize_reals));
-  outer.send(v, u, frame);
+  // link's receive half), the marker flag, then the payload fields —
+  // shifted out of the stored record straight onto the outer wire.
+  const bool has_payload = (unit[0] & kUnitPayload) != 0;
+  const std::uint64_t* payload = has_payload ? unit + 1 : nullptr;
+  std::uint64_t* frame = frame_buffer(
+      frames_.data_words_bound(has_payload ? record_words(payload) : 0));
+  int bits = 0;
+  const std::size_t nwords =
+      frames_.data(v, seq, links_[q].next, (unit[0] & kUnitMarker) != 0,
+                   payload, frame, &bits);
+  outer.send_wire(v, q, frame, nwords, bits);
   const auto attempt = static_cast<std::uint8_t>(
       (unit[0] & kUnitAttemptMask) >> kUnitAttemptShift);
   const std::int64_t due = now + retransmit_gap(mirror_[q], seq, attempt);

@@ -40,11 +40,26 @@
 // by cumulative acks and compacted in place, so its capacity survives
 // across rounds; ReliablePhase keeps one ReliableNetwork for every phase
 // it wraps over the same outer network, so capacity survives phases too.
+// The rings hold payloads, not frames: a frame is built from its unit at
+// each (re)transmission, into the worker's scratch, and is never stored.
 //
 // Frame layout (tags 14/15, header widths paid for by the cap headroom):
 //
 //   DATA  (tag, seq, cumulative ack, marker flag, payload fields...)
 //   ACK   (tag, cumulative ack)
+//
+// Both are ordinary wire records (congest/message.hpp), built and read
+// as words by FrameCodec without a Message: a DATA frame's kind words
+// are the four header nibbles followed by the payload's nibbles shifted
+// by four, and its bit stream is tag, seq, ack and marker followed by
+// the payload's bits shifted by the header width (67 bits at
+// level_bits = 31, so the header spans two words). A frame goes onto the
+// outer network through the private word-level seam Network::send_wire,
+// which FaultyNetwork overrides like send. On receipt the link is the
+// one of the inbox lane the frame arrived on, unless its sender id says
+// a reorder diverted it from another lane; seq, ack and marker are read
+// at fixed bit offsets, and the payload record is shifted back out into
+// the virtual lane.
 //
 // The end-of-round marker rides on the last unit an arc carries in a
 // virtual round when that unit has at least one payload field; only an
@@ -105,6 +120,70 @@ class ReliablePhase;
 /// exposed for tests.
 std::int64_t retransmit_gap(std::uint32_t arc, std::uint32_t seq,
                             std::uint8_t attempt);
+
+/// The transport's physical frames, built and read as words. A DATA
+/// frame is exactly the wire record wire_encode writes for
+///
+///   Message::tagged(kTransportDataTag).add_level(seq).add_level(ack)
+///       .add_flag(marker).append_fields(payload)
+///
+/// and an ACK frame the one for Message::tagged(kTransportAckTag)
+/// .add_level(ack) — but no Message is built: data() shifts the stored
+/// payload record behind the header (see "Frame layout" above). Exposed
+/// for tests.
+class FrameCodec {
+ public:
+  FrameCodec(const MessageSizeModel& model, bool quantized_reals);
+
+  /// Words data() may write for a payload record of `payload_words` words
+  /// (0 = a bare marker).
+  std::size_t data_words_bound(std::size_t payload_words) const {
+    return payload_words + 2 + header_words_;
+  }
+  /// Words every ack() frame takes.
+  std::size_t ack_words() const { return ack_words_; }
+
+  /// Writes the DATA frame of `payload` (a wire record sent by `sender`,
+  /// or nullptr for a bare marker) into dst; returns its words and stores
+  /// its CONGEST-accounted bits in *bits.
+  std::size_t data(NodeId sender, std::uint32_t seq, std::uint32_t ack,
+                   bool marker, const std::uint64_t* payload,
+                   std::uint64_t* dst, int* bits) const;
+  /// Writes the ACK frame into dst; returns its words (ack_words()) and
+  /// stores its CONGEST-accounted bits in *bits.
+  std::size_t ack(NodeId sender, std::uint32_t ack, std::uint64_t* dst,
+                  int* bits) const;
+
+  /// The transport header of a received DATA frame, read at fixed bit
+  /// offsets.
+  struct DataHeader {
+    std::uint32_t seq = 0;
+    std::uint32_t ack = 0;
+    bool marker = false;
+  };
+  DataHeader data_header(const std::uint64_t* frame) const;
+  /// Writes the payload record a received DATA frame carries into dst (at
+  /// most the frame's words); returns its words.
+  std::size_t strip(const std::uint64_t* frame, std::uint64_t* dst) const;
+  /// The cumulative ack of a received ACK frame.
+  std::uint32_t ack_of(const std::uint64_t* frame) const;
+
+ private:
+  /// Wire bits of the nf fields whose kind nibbles start at `kinds`; the
+  /// accounted bits go to *model_bits when it is non-null.
+  std::size_t wire_bits(const std::uint64_t* kinds, std::size_t nf,
+                        int* model_bits) const;
+
+  // Wire and accounted bits per FieldKind nibble.
+  std::uint8_t wire_bits_[16] = {};
+  std::uint8_t model_bits_[16] = {};
+  int tag_bits_;
+  int level_bits_;
+  int flag_bits_;
+  int header_bits_;  // tag + seq + ack + marker
+  std::size_t header_words_;
+  std::size_t ack_words_;
+};
 
 /// The virtual network a reliable()-wrapped algorithm runs on. Public
 /// surface is the unchanged Network API. ReliablePhase::initialize
@@ -174,6 +253,8 @@ class ReliableNetwork final : public Network {
   /// active set is visited.
   void transmit_pass(Network& outer, bool close_round);
 
+  /// The calling worker's frame scratch, at least `words` long.
+  std::uint64_t* frame_buffer(std::size_t words);
   void receive_node(Network& outer, NodeId v, std::size_t w);
   /// Takes the in-order arrival `ctl` (+ stripped payload) on link q:
   /// the payload goes into the virtual lane, a marker closes the link.
@@ -183,12 +264,13 @@ class ReliableNetwork final : public Network {
   void drain_held(std::size_t q, std::size_t w);
   void close_links(NodeId v);
   void transmit_node(Network& outer, NodeId v, std::int64_t now);
-  /// Sends the DATA frame of `unit` (seq on v's link q to u) and
-  /// advances its attempt; returns its next retransmit deadline.
-  std::int64_t send_data(Network& outer, NodeId v, NodeId u, std::size_t q,
+  /// Sends the DATA frame of `unit` (seq on v's link q) and advances its
+  /// attempt; returns its next retransmit deadline.
+  std::int64_t send_data(Network& outer, NodeId v, std::size_t q,
                          std::uint32_t seq, std::uint64_t* unit,
                          std::int64_t now);
 
+  FrameCodec frames_;
   std::vector<Link> links_;
   /// Per-worker count of links whose marker for the open virtual round
   /// was consumed; they sum to the link count when the round is closed.

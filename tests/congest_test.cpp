@@ -143,41 +143,45 @@ TEST(Wire, ManyFieldRecordsSpanKindWords) {
   for (int i = 0; i < 40; ++i) EXPECT_EQ(view.flag_at(i), i % 3 == 0);
 }
 
-TEST(Wire, StripPrefixAndAppendFieldsMatchACleanEncode) {
-  // The reliable transport's relay steps: a payload wrapped in a frame
-  // (append_fields) and unwrapped again (strip_prefix) must be the exact
-  // wire record a clean send of the payload writes — including payloads
-  // whose kinds span several kind words and raw (unquantized) reals.
+TEST(Wire, AppendFieldsMatchesACleanEncode) {
+  // A payload decoded from its wire record (append_fields) behind other
+  // fields must encode to exactly the record those fields written directly
+  // produce — including payloads whose kinds span several kind words and
+  // raw (unquantized) reals. The reliable transport's word-level frames
+  // are tested against records built this way.
   MessageSizeModel model;
   model.id_bits = 13;
   model.level_bits = 27;
   model.real_bits = default_value_codec().bit_width();
   for (const bool quantized : {true, false}) {
     for (const int extra_flags : {0, 3, 20}) {
-      Message payload = Message::tagged(6);
-      payload.add_id(4321).add_real(0.3).add_level(99);
-      for (int i = 0; i < extra_flags; ++i) payload.add_flag(i % 2 == 0);
+      Message direct = Message::tagged(14);
+      direct.add_level(7).add_level(5).add_flag(true);
+      Message payload;
+      for (Message* m : {&payload, &direct}) {
+        m->add_weight(300).add_id(4321).add_real(0.3).add_level(99);
+        for (int i = 0; i < extra_flags; ++i) m->add_flag(i % 2 == 0);
+      }
       std::vector<std::uint64_t> clean(wire_words(payload, model, quantized));
       wire_encode(payload, 42, model, quantized, clean.data());
-      const MessageView payload_view(clean.data(), &model, quantized);
 
       Message frame = Message::tagged(14);
       frame.add_level(7).add_level(5).add_flag(true);
-      frame.append_fields(payload_view);
+      frame.append_fields(MessageView(clean.data(), &model, quantized));
+      ASSERT_EQ(frame.num_fields(), 4 + payload.num_fields());
       std::vector<std::uint64_t> framed(wire_words(frame, model, quantized));
       wire_encode(frame, 42, model, quantized, framed.data());
-      const MessageView frame_view(framed.data(), &model, quantized);
-      ASSERT_EQ(frame_view.num_fields(), 4 + payload.num_fields());
-
-      std::vector<std::uint64_t> stripped(frame_view.words());
-      const std::size_t words = frame_view.strip_prefix(4, stripped.data());
-      stripped.resize(words);
+      std::vector<std::uint64_t> want(wire_words(direct, model, quantized));
+      wire_encode(direct, 42, model, quantized, want.data());
+      EXPECT_EQ(framed, want)
+          << "quantized=" << quantized << " extra_flags=" << extra_flags;
+      // Appending from a later field drops the fields before it.
+      Message tail;
+      tail.append_fields(MessageView(framed.data(), &model, quantized), 4);
+      std::vector<std::uint64_t> stripped(wire_words(tail, model, quantized));
+      wire_encode(tail, 42, model, quantized, stripped.data());
       EXPECT_EQ(stripped, clean)
           << "quantized=" << quantized << " extra_flags=" << extra_flags;
-      // Stripping nothing is the identity.
-      std::vector<std::uint64_t> whole(frame_view.words());
-      whole.resize(frame_view.strip_prefix(0, whole.data()));
-      EXPECT_EQ(whole, framed);
     }
   }
 }

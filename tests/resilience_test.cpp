@@ -24,7 +24,9 @@
 #include "common/random.hpp"
 #include "fault/fault_plan.hpp"
 #include "fault/faulty_network.hpp"
+#include "gen/arboricity_families.hpp"
 #include "gen/classic.hpp"
+#include "gen/weights.hpp"
 #include "harness/corpus.hpp"
 #include "harness/oracle.hpp"
 #include "harness/registry.hpp"
@@ -61,6 +63,22 @@ int test_thread_width() {
            << "iterations differ: " << a.iterations << " vs " << b.iterations;
   return ::testing::AssertionSuccess();
 }
+
+// Physical counters of PhysicalCountersArePinnedOnForest2, recorded with
+// the Message-based framing the word-level frames replaced: any change
+// in how frames are built or counted shows up here.
+constexpr std::string_view kPinnedDet =
+    "run rounds=80 messages=156010 bits=9081482 max=103 dropped=2964 "
+    "duplicated=2999 delayed=7750 killed=0\n"
+    "partial_ds+rel rounds=62 messages=121388 bits=7301204 max=103 "
+    "dropped=2318 duplicated=2346 delayed=6062 killed=0\n"
+    "completion+rel rounds=18 messages=34622 bits=1780278 max=71 "
+    "dropped=646 duplicated=653 delayed=1688 killed=0\n";
+constexpr std::string_view kPinnedGeneral =
+    "run rounds=232 messages=433462 bits=23146615 max=104 dropped=8589 "
+    "duplicated=8616 delayed=21657 killed=0\n"
+    "extension+rel rounds=232 messages=433462 bits=23146615 max=104 "
+    "dropped=8589 duplicated=8616 delayed=21657 killed=0\n";
 
 // ------------------------------------------------ retransmit schedule
 
@@ -194,6 +212,108 @@ TEST(ReliableChannel, ZeroFaultReliableRunStillMatchesCleanOutput) {
 }
 
 // ------------------------------------------------------- frame layout
+
+std::vector<std::uint64_t> wire_record(const Message& m, NodeId sender,
+                                       const MessageSizeModel& model,
+                                       bool quantized, int* bits = nullptr) {
+  std::vector<std::uint64_t> out(wire_words(m, model, quantized));
+  wire_encode(m, sender, model, quantized, out.data(), bits);
+  return out;
+}
+
+TEST(ReliableChannel, WireFramesMatchTheMessageEncoder) {
+  // The transmit pass shifts a stored payload record behind the transport
+  // header instead of building a Message. The result must be, word for
+  // word and bit count for bit count, what wire_encode writes for the
+  // same fields, and the receive pass must read the header back and shift
+  // the payload record out again. At level_bits = 31 the header is 67
+  // bits, so the marker bit and the payload's first bits sit in the
+  // second payload word.
+  const NodeId sender = 1234;
+  const int cap = congest_message_cap(CongestConfig{}, 1'000'000);
+  for (const int level_bits : {5, 31}) {
+    for (const bool quantized : {true, false}) {
+      MessageSizeModel model;
+      model.id_bits = 20;
+      model.weight_bits = 11;
+      model.level_bits = level_bits;
+      model.real_bits = default_value_codec().bit_width();
+      std::vector<Message> payloads(5);  // [0]: zero fields
+      payloads[1] = Message::tagged(3);  // every kind
+      payloads[1].add_id(777).add_weight(2000).add_level(17).add_flag(true)
+          .add_real(0.3);
+      for (int i = 0; i < 13; ++i)  // 17 frame fields: two kind words
+        payloads[2].add_flag(i % 3 == 0);
+      payloads[3] = Message::tagged(9);  // 30 fields: two kind words each
+      for (int i = 0; i < 29; ++i) {
+        if (i % 2 == 0) {
+          payloads[3].add_level(i);
+        } else {
+          payloads[3].add_real(i / 7.0);
+        }
+      }
+      while (payloads[4].bit_size(model) + model.id_bits <= cap)  // cap-sized
+        payloads[4].add_id(static_cast<NodeId>(payloads[4].num_fields()));
+      while (payloads[4].bit_size(model) < cap) payloads[4].add_flag(true);
+      ASSERT_EQ(payloads[4].bit_size(model), cap);
+
+      const FrameCodec frames(model, quantized);
+      const std::uint32_t top = (std::uint32_t{1} << level_bits) - 1;
+      const std::uint32_t headers[][3] = {
+          {0, 0, 0}, {1, 0, 1}, {top, top - 1, 1}, {top - 2, top, 0}};
+      for (std::size_t p = 0; p <= payloads.size(); ++p) {
+        // p == payloads.size(): a bare marker frame, no payload record.
+        const bool bare = p == payloads.size();
+        const std::vector<std::uint64_t> record =
+            bare ? std::vector<std::uint64_t>{}
+                 : wire_record(payloads[p], sender, model, quantized);
+        for (const auto& [seq, ack, marker] : headers) {
+          Message m = Message::tagged(kTransportDataTag);
+          m.add_level(seq).add_level(ack).add_flag(bare || marker != 0);
+          if (!bare)
+            m.append_fields(MessageView(record.data(), &model, quantized));
+          int want_bits = 0;
+          const std::vector<std::uint64_t> want =
+              wire_record(m, sender, model, quantized, &want_bits);
+
+          std::vector<std::uint64_t> got(
+              frames.data_words_bound(record.size()));
+          int bits = 0;
+          got.resize(frames.data(sender, seq, ack, bare || marker != 0,
+                                 bare ? nullptr : record.data(), got.data(),
+                                 &bits));
+          const std::string where =
+              "level_bits=" + std::to_string(level_bits) +
+              " quantized=" + std::to_string(quantized) +
+              " payload=" + std::to_string(p) + " seq=" + std::to_string(seq);
+          EXPECT_EQ(got, want) << where;
+          EXPECT_EQ(bits, want_bits) << where;
+          const FrameCodec::DataHeader h = frames.data_header(want.data());
+          EXPECT_EQ(h.seq, seq) << where;
+          EXPECT_EQ(h.ack, ack) << where;
+          EXPECT_EQ(h.marker, bare || marker != 0) << where;
+          if (bare) continue;
+          // And the receive side recovers the stored payload record.
+          std::vector<std::uint64_t> stripped(want.size());
+          stripped.resize(frames.strip(want.data(), stripped.data()));
+          EXPECT_EQ(stripped, record) << where;
+        }
+      }
+      for (const std::uint32_t ack : {0u, 1u, top}) {
+        int want_bits = 0;
+        const std::vector<std::uint64_t> want = wire_record(
+            Message::tagged(kTransportAckTag).add_level(ack), sender, model,
+            quantized, &want_bits);
+        std::vector<std::uint64_t> got(frames.ack_words());
+        int bits = 0;
+        EXPECT_EQ(frames.ack(sender, ack, got.data(), &bits), got.size());
+        EXPECT_EQ(bits, want_bits);
+        EXPECT_EQ(got, want) << "ack=" << ack << " level_bits=" << level_bits;
+        EXPECT_EQ(frames.ack_of(want.data()), ack);
+      }
+    }
+  }
+}
 
 // Records, per virtual round and node, a running digest of the inbox:
 // every record's sender, field count and level field, in inbox order.
@@ -403,6 +523,98 @@ TEST(ReliableChannel, PhysicalStatsAreBitIdenticalAcrossWidths) {
       const MdsResult res = info.run_on(*net, params);
       if (!first) first = res.stats;
       EXPECT_EQ(res.stats, *first) << info.name << " at threads=" << threads;
+    }
+  }
+}
+
+TEST(ReliableChannel, ReorderDivertedFramesResolveToTheirLink) {
+  // With reorder_prob 1 nearly every frame lands on another lane of its
+  // receiver, so the receive pass must find the frame's link from the
+  // sender id the record carries, not from the lane it arrived on.
+  const int wide = test_thread_width();
+  const auto corpus = harness::small_corpus(21);
+  ASSERT_GE(corpus.size(), 2u);
+  CongestConfig lossy;
+  lossy.seed = 0xd1feULL;
+  lossy.reliable_transport = true;
+  lossy.fault.reorder_prob = 1.0;
+  lossy.fault.drop_prob = 0.05;
+  // A frame filed under the wrong link stalls its virtual round; the cap
+  // turns that into a failed run instead of a million idle rounds.
+  lossy.round_limit = 20'000;
+  for (std::size_t i = 0; i < 2; ++i) {
+    const auto& inst = corpus[i];
+    for (const harness::SolverInfo& info : harness::all_solvers()) {
+      if (!harness::solver_applicable(info, inst)) continue;
+      harness::SolverParams params = harness::params_for(info, inst);
+      params.threads = -1;
+      CongestConfig clean_cfg;
+      clean_cfg.seed = lossy.seed;
+      Network clean(inst.wg, clean_cfg);
+      const MdsResult reference = info.run_on(clean, params);
+      for (const int threads : {1, wide}) {
+        CongestConfig cfg = lossy;
+        cfg.threads = threads;
+        const std::unique_ptr<Network> net = fault::make_network(inst.wg, cfg);
+        const MdsResult res = info.run_on(*net, params);
+        EXPECT_FALSE(res.stats.hit_round_limit)
+            << info.name << " on " << inst.name << " at threads=" << threads;
+        EXPECT_TRUE(outputs_identical(reference, res))
+            << info.name << " on " << inst.name << " at threads=" << threads;
+      }
+    }
+  }
+}
+
+// One line of physical counters per run and per phase, for the pins below.
+std::string physical_counters(const RunStats& s) {
+  std::ostringstream os;
+  auto line = [&os](std::string_view name, std::int64_t rounds,
+                    const obs::Counters& c) {
+    os << name << " rounds=" << rounds << " messages=" << c.messages
+       << " bits=" << c.total_bits << " max=" << c.max_message_bits
+       << " dropped=" << c.dropped << " duplicated=" << c.duplicated
+       << " delayed=" << c.delayed << " killed=" << c.killed << "\n";
+  };
+  line("run", s.rounds, s);
+  for (const PhaseStats& p : s.phases) line(p.name, p.rounds, p);
+  return os.str();
+}
+
+TEST(ReliableChannel, PhysicalCountersArePinnedOnForest2) {
+  // The transport's frames and the fault decorator's draws, pinned on a
+  // weighted forest2 instance whose 31-bit levels make the DATA header
+  // 67 bits wide: a change to either may reorganize how frames are built
+  // or counted, but not one frame, bit or fault decision.
+  Rng rng(2000);
+  Graph g = gen::k_tree_union(2000, 2, rng);
+  std::vector<Weight> w = gen::uniform_weights(2000, 1000, rng);
+  const harness::CorpusInstance inst{"forest2_n2000",
+                                     WeightedGraph(std::move(g), std::move(w)),
+                                     2, false, false, "forest2"};
+  CongestConfig cfg;
+  cfg.seed = 0x5eedULL;
+  cfg.reliable_transport = true;
+  cfg.fault.drop_prob = 0.02;
+  cfg.fault.duplicate_prob = 0.02;
+  cfg.fault.delay_prob = 0.05;
+  cfg.fault.max_delay_rounds = 3;
+  cfg.fault.reorder_prob = 0.05;
+  ASSERT_EQ(Network(inst.wg, cfg).size_model().level_bits, 31);
+  const std::pair<std::string_view, std::string_view> pins[] = {
+      {"det", kPinnedDet},
+      {"general", kPinnedGeneral},
+  };
+  for (const auto& [name, want] : pins) {
+    const harness::SolverInfo& info = harness::solver(name);
+    harness::SolverParams params = harness::params_for(info, inst);
+    params.threads = -1;
+    for (const int threads : {1, test_thread_width()}) {
+      cfg.threads = threads;
+      const std::unique_ptr<Network> net = fault::make_network(inst.wg, cfg);
+      const MdsResult res = info.run_on(*net, params);
+      EXPECT_EQ(physical_counters(res.stats), want)
+          << name << " at threads=" << threads;
     }
   }
 }

@@ -62,6 +62,12 @@ def cases():
     slower[3]["seconds"] *= 1.3
     mildly_slower = copy.deepcopy(base)
     mildly_slower[3]["seconds"] *= 1.15
+    # The exp12 smoke preset's shape: six rows (three solvers x widths 1
+    # and 4). One row getting 30% faster moves the machine factor, but
+    # must not push any other row past the gate.
+    smoke = suite(6)
+    one_faster = copy.deepcopy(smoke)
+    one_faster[4]["seconds"] *= 0.7
     return [
         ("file compared with itself", base, base, 0, None),
         ("one changed counter", base, changed(base, 2, messages=4461), 1,
@@ -73,6 +79,8 @@ def cases():
         ("one row 30% slower among several", base, slower, 1, "REGRESSION"),
         ("one row 15% slower stays within the gate", base, mildly_slower, 0,
          None),
+        ("one row 30% faster among six flags no other row", smoke,
+         one_faster, 0, None),
         ("missing baseline row", base, base[:-1], 2, "missing baseline rows"),
         ("duplicate key", base + [row("inst0")], base + [row("inst0")], 2,
          "duplicate row keys"),
